@@ -32,7 +32,6 @@ from .fock import (
 )
 from .landau import (
     QuantumNumbers,
-    WavefunctionSample,
     angular_momentum_action,
     energy,
     ladder_action_check,

@@ -89,18 +89,13 @@ class TfdParams:
 class CovarianceMatrix:
     """Block-diagonal 8x8 covariance matrix, stored as its 2x2 blocks.
 
-    The b-sector block appears twice in the full matrix; the symplectic
-    part is the constant [[0, 1], [-1, 0]] in every block.
+    The b-sector block appears twice in the full matrix.
     """
 
     block_1p: np.ndarray
     block_1m: np.ndarray
     block_2: np.ndarray
     time: float
-
-    @property
-    def symplectic_block(self) -> np.ndarray:
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     def full(self) -> np.ndarray:
         """Assemble the 8x8 matrix."""
@@ -128,19 +123,28 @@ class LloydResult:
     argmax_t: float
 
 
+def _bho(params: PhysicalParams) -> float:
+    return params.beta * params.hbar * params.omega
+
+
+def _squeezing(x: float) -> tuple:
+    """2a and sinh 2a at x = beta hbar omega / 2, where tanh a = e^{-x}.
+
+    Written in e^{-x} and expm1(-x), so nothing cancels as x -> 0 and
+    nothing overflows as x -> inf; x = inf gives exactly (0, 0).
+    """
+    q = 2.0 * math.exp(-x)
+    return math.log1p(q / -math.expm1(-x)), q / -math.expm1(-2.0 * x)
+
+
 def alpha_of(params: PhysicalParams) -> TfdParams:
     """Squeezing parameter and its hyperbolic doubles.
 
-    cosh 2a and sinh 2a are computed as rational functions of
-    x = e^{-beta hbar omega / 2}; going through artanh and back loses
-    precision for beta hbar omega << 1.
+    With x = beta hbar omega / 2: sinh 2a = 1/sinh x and cosh 2a = coth x.
     """
-    if params.zero_temperature:
-        return TfdParams(alpha=0.0, cosh2a=1.0, sinh2a=0.0)
-    x = math.exp(-params.beta * params.hbar * params.omega / 2.0)
-    alpha = 0.5 * math.log((1.0 + x) / (1.0 - x))
-    denom = 1.0 - x * x
-    return TfdParams(alpha=alpha, cosh2a=(1.0 + x * x) / denom, sinh2a=2.0 * x / denom)
+    x = 0.5 * _bho(params)
+    two_a, sinh2a = _squeezing(x)
+    return TfdParams(alpha=0.5 * two_a, cosh2a=1.0 / math.tanh(x), sinh2a=sinh2a)
 
 
 def partition_function(params: PhysicalParams) -> float:
@@ -151,15 +155,12 @@ def partition_function(params: PhysicalParams) -> float:
     if params.zero_temperature:
         warnings.warn("partition function at beta=inf is the limiting value 0", RuntimeWarning)
         return 0.0
-    return 1.0 / (4.0 * math.sinh(params.beta * params.hbar * params.omega / 2.0))
+    return 0.25 * _squeezing(0.5 * _bho(params))[1]
 
 
 def internal_energy(params: PhysicalParams) -> float:
     """Internal energy U = (hbar omega / 2) coth(beta hbar omega / 2)."""
-    e0 = params.hbar * params.omega / 2.0
-    if params.zero_temperature:
-        return e0
-    return e0 / math.tanh(params.beta * params.hbar * params.omega / 2.0)
+    return 0.5 * params.hbar * params.omega / math.tanh(0.5 * _bho(params))
 
 
 def covariance_g(t: float, params: PhysicalParams) -> CovarianceMatrix:
@@ -177,39 +178,46 @@ def covariance_g(t: float, params: PhysicalParams) -> CovarianceMatrix:
     return CovarianceMatrix(block_1p=blocks[0], block_1m=blocks[1], block_2=block_2, time=t)
 
 
-def _a_pm(t: float, params: PhysicalParams, tfd: TfdParams | None = None):
-    if tfd is None:
-        tfd = alpha_of(params)
-    w, wr = params.omega, params.omega_ref
-    s_fr, d_fr = wr * wr + w * w, wr * wr - w * w
-    c = math.cos(w * t)
-    a_p = (s_fr * tfd.cosh2a + d_fr * tfd.sinh2a * c) / (2.0 * wr * w)
-    a_m = (s_fr * tfd.cosh2a - d_fr * tfd.sinh2a * c) / (2.0 * wr * w)
-    # A >= 1 analytically; clamp tiny negative excursions from roundoff
-    return max(a_p, 1.0), max(a_m, 1.0)
+def _kernel(t: float, params: PhysicalParams) -> tuple:
+    """C, s, r_c, r_s, asinh r_c and asinh r_s at time t.
 
+    With u = ln(omega_ref/omega) and the squeezing 2a, the two
+    time-dependent eigenvalue pairs of the relative covariance matrix are
+    exp(+-theta) with theta = arccosh A = 2 asinh r, where A = 1 + 2 r^2 and
 
-def _acosh(a: float) -> float:
-    # ln(A + sqrt(A^2 - 1)); the additive form is safe since A >= 1
-    return math.log(a + math.sqrt((a - 1.0) * (a + 1.0)))
+        r_c = hypot(h, s cos(omega t / 2)),  r_s = hypot(h, s sin(omega t / 2)),
+        h = sinh((2a - |u|) / 2),  s = sqrt(|sinh u| sinh 2a).
+
+    A >= 1 holds by construction, and only the ratio omega/omega_ref
+    enters, through u.
+    """
+    two_a, sinh2a = _squeezing(0.5 * _bho(params))
+    u = math.log(params.omega_ref) - math.log(params.omega)
+    h = math.sinh(0.5 * (two_a - abs(u)))
+    s = math.sqrt(abs(math.sinh(u))) * math.sqrt(sinh2a)
+    phase = 0.5 * params.omega * t
+    r_c, r_s = math.hypot(h, s * math.cos(phase)), math.hypot(h, s * math.sin(phase))
+    a_c, a_s = math.asinh(r_c), math.asinh(r_s)
+    return math.sqrt(LN6 * LN6 + u * u + 2.0 * (a_c * a_c + a_s * a_s)), s, r_c, r_s, a_c, a_s
 
 
 def relative_spectrum(t: float, params: PhysicalParams) -> RelativeSpectrum:
     """Eigenvalues of the relative covariance matrix G(t) G_R^{-1}.
 
-    The small members of each reciprocal pair are computed as exact
-    reciprocals of the large ones; A - sqrt(A^2-1) cancels
-    catastrophically for large squeezing.
+    Each time-dependent pair is exp(+-theta) with e^theta = (r + sqrt(1 + r^2))^2
+    (see ``_kernel``); the small member is the exact reciprocal of the large one.
+    A_+ is the pair whose A grows with cos(omega t) when omega < omega_ref.
     """
-    a_p, a_m = _a_pm(t, params)
-    e2 = a_p + math.sqrt((a_p - 1.0) * (a_p + 1.0))
-    e4 = a_m + math.sqrt((a_m - 1.0) * (a_m + 1.0))
+    _, _, r_c, r_s, _, _ = _kernel(t, params)
     w, wr = params.omega, params.omega_ref
+    r_p, r_m = (r_c, r_s) if w <= wr else (r_s, r_c)
+    g_p, g_m = r_p + math.hypot(1.0, r_p), r_m + math.hypot(1.0, r_m)
+    e2, e4 = g_p * g_p, g_m * g_m
     e5 = wr / (6.0 * w)
     e6 = w / (6.0 * wr)
     return RelativeSpectrum(
-        a_plus=a_p,
-        a_minus=a_m,
+        a_plus=1.0 + 2.0 * r_p * r_p,
+        a_minus=1.0 + 2.0 * r_m * r_m,
         e=(1.0 / e2, e2, 1.0 / e4, e4, e5, e6, e5, e6),
         time=t,
     )
@@ -218,57 +226,79 @@ def relative_spectrum(t: float, params: PhysicalParams) -> RelativeSpectrum:
 def complexity(t: float, params: PhysicalParams) -> float:
     """Nielsen complexity, half the Frobenius norm of ln(relative covariance).
 
-    Equals sqrt(ln^2 6 + ln^2(omega_ref/omega)
-    + (1/4) * sum of ln^2 over the four time-dependent eigenvalues),
-    where the quarter-sum collapses to
-    (arccosh^2 A_+ + arccosh^2 A_-) / 2.
+    With u = ln(omega_ref/omega), the squeezing 2a (tanh a = e^{-beta hbar omega/2})
+    and the time-dependent pairs exp(+-theta_c), exp(+-theta_s) of ``_kernel``,
+
+        C = sqrt(ln^2 6 + u^2 + (theta_c^2 + theta_s^2) / 2),  theta = 2 asinh r.
     """
-    a_p, a_m = _a_pm(t, params)
-    u = math.log(params.omega_ref / params.omega)
-    return math.sqrt(LN6 * LN6 + u * u + 0.5 * (_acosh(a_p) ** 2 + _acosh(a_m) ** 2))
-
-
-def _acosh_over_sqrt(a: float) -> float:
-    # arccosh(A)/sqrt(A^2-1), extended through the removable singularity at A=1
-    u = a - 1.0
-    if u < 1e-8:
-        return 1.0 - u / 3.0
-    return _acosh(a) / math.sqrt(u * (a + 1.0))
+    return _kernel(t, params)[0]
 
 
 def complexity_rate(t: float, params: PhysicalParams) -> float:
-    """Analytic time derivative of the complexity."""
-    tfd = alpha_of(params)
-    if tfd.sinh2a == 0.0:
+    """Analytic time derivative of the complexity.
+
+    In the variables of ``complexity``, with f(theta) = theta / sinh theta,
+
+        dC/dt = s^2 omega sin(omega t) (f(theta_s) - f(theta_c)) / (2C).
+
+    The difference is taken in factored form in m = (theta_s + theta_c)/2
+    and d = (theta_s - theta_c)/2:
+
+        f(theta_s) - f(theta_c) = 2 (d sinh m cosh d - m cosh m sinh d) / (sinh theta_s sinh theta_c),
+        sinh d = -s^2 cos(omega t) / sinh m,
+
+    so nothing cancels at low temperature, and every sinh and cosh of m
+    and theta is scaled by e^{-m}, so nothing overflows at high
+    temperature.  The rate is exactly 0 at beta = inf and at
+    omega = omega_ref, where s = 0.
+    """
+    c, s, r_c, r_s, a_c, a_s = _kernel(t, params)
+    # e^{-theta/2} = 1/(r + sqrt(1 + r^2)); rho and eta are sinh and cosh of theta/2 times it
+    g_c, g_s = math.hypot(1.0, r_c), math.hypot(1.0, r_s)
+    w_c, w_s = 1.0 / (r_c + g_c), 1.0 / (r_s + g_s)
+    rho_c, eta_c, rho_s, eta_s = r_c * w_c, g_c * w_c, r_s * w_s, g_s * w_s
+    sinh_theta = rho_c * eta_c * rho_s * eta_s  # e^{-2m} sinh(theta_c) sinh(theta_s) / 4
+    if sinh_theta == 0.0:
+        # theta = 0 needs h = 0 and s sin(omega t / 2) = 0, so s^2 sin(omega t) = 0 too:
+        # f's removable singularity at theta = 0 is met only where the rate vanishes
         return 0.0
-    w, wr = params.omega, params.omega_ref
-    a_p, a_m = _a_pm(t, params, tfd)
-    d_fr = wr * wr - w * w
-    da = w * d_fr * tfd.sinh2a * math.sin(w * t) / (2.0 * wr * w)
-    # dA+/dt = -da, dA-/dt = +da
-    num = -_acosh_over_sqrt(a_p) * da + _acosh_over_sqrt(a_m) * da
-    return num / (2.0 * complexity(t, params))
+    sinh_m = rho_s * eta_c + rho_c * eta_s
+    cosh_m = eta_s * eta_c + rho_s * rho_c
+    s2 = (s * w_c) * (s * w_s)  # s^2 e^{-m}
+    wt = params.omega * t
+    z = -s2 * math.cos(wt) / sinh_m  # sinh d
+    num = math.asinh(z) * sinh_m * math.hypot(1.0, z) - (a_c + a_s) * cosh_m * z
+    rate = s2 * params.omega * math.sin(wt) * num / (4.0 * sinh_theta * c)
+    return rate or 0.0  # -0.0 -> 0.0: an exact zero, as where s = 0, prints as 0
 
 
 def high_T_rate_limit(t: float, omega: float, omega_ref: float) -> float:
-    """Infinite-temperature limit of the complexity rate."""
+    """Infinite-temperature limit of the complexity rate.
+
+    omega tanh^2 u sin(2 omega t) / (2 (1 - tanh^2 u cos^2 omega t)) with
+    u = ln(omega_ref/omega), evaluated as omega y v / (1 + y^2) with
+    y = sinh u sin(omega t) and v = sinh u cos(omega t), which neither
+    cancels nor divides 0 by 0 at large |u|.
+    """
     if omega <= 0.0 or omega_ref <= 0.0:
         raise ValueError("frequencies must be positive")
-    s_fr = omega_ref**2 + omega**2
-    d_fr = omega_ref**2 - omega**2
-    num = 0.5 * omega * d_fr * d_fr * math.sin(2.0 * omega * t)
-    den = s_fr * s_fr - d_fr * d_fr * math.cos(omega * t) ** 2
-    return num / den
+    sinh_u = math.sinh(math.log(omega_ref) - math.log(omega))
+    y = sinh_u * math.sin(omega * t)
+    g = math.hypot(1.0, y)
+    return omega * (y / g) * (sinh_u * math.cos(omega * t) / g)
 
 
 def oscillation_amplitude(params: PhysicalParams) -> float:
-    """Amplitude of the complexity oscillations, C(T/2) - C(0)."""
+    """Amplitude of the complexity oscillations, C(T/2) - C(0).
+
+    The difference still cancels at low temperature, where the amplitude
+    is of order e^{-beta hbar omega} and C is of order 1: against a
+    high-precision reference its relative error is about 1e-10 at
+    beta hbar omega = 10, 1e-7 at 20 and 1e-3 at 30, and no digit is
+    left at 40.
+    """
     half = math.pi / (2.0 * params.omega)
     return complexity(half, params) - complexity(0.0, params)
-
-
-def _bho(params: PhysicalParams) -> float:
-    return params.beta * params.hbar * params.omega
 
 
 def _warn_regime(condition: bool, regime: str, detail: str) -> None:
@@ -276,15 +306,9 @@ def _warn_regime(condition: bool, regime: str, detail: str) -> None:
         warnings.warn(f"parameters outside the {regime} regime ({detail})", RuntimeWarning)
 
 
-def _log_ratio_factor(params: PhysicalParams) -> float:
-    """(omega_ref^2+omega^2)/(omega_ref^2-omega^2) * ln(omega_ref/omega).
-
-    Continuous limit 1 at omega_ref = omega.
-    """
-    w, wr = params.omega, params.omega_ref
-    if w == wr:
-        return 1.0
-    return (wr * wr + w * w) / (wr * wr - w * w) * math.log(wr / w)
+def _log_ratio_factor(u: float) -> float:
+    """u coth u, with its limit 1 at u = 0."""
+    return u / math.tanh(u) if u else 1.0
 
 
 def asymptotic_complexity(regime: str, t: float, params: PhysicalParams) -> float:
@@ -295,23 +319,18 @@ def asymptotic_complexity(regime: str, t: float, params: PhysicalParams) -> floa
     """
     w, wr = params.omega, params.omega_ref
     bho = _bho(params)
-    u = math.log(wr / w)
+    u = math.log(wr) - math.log(w)
     if regime == "low_T":
         _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
         base = math.sqrt(LN6 * LN6 + 2.0 * u * u)
-        if params.zero_temperature:
-            return base
         c, s = math.cos(w * t), math.sin(w * t)
-        return base + (2.0 * math.exp(-bho) / base) * (c * c + _log_ratio_factor(params) * s * s)
+        return base + (2.0 * math.exp(-bho) / base) * (c * c + _log_ratio_factor(u) * s * s)
     if regime == "high_T":
         _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
-        s_fr, d_fr = wr * wr + w * w, wr * wr - w * w
-        root = math.sqrt(s_fr * s_fr - d_fr * d_fr * math.cos(w * t) ** 2)
-        return math.log(1.0 / bho) + math.log(2.0 * root / (wr * w))
+        # ln 4 + (1/2) log1p(y^2) with y = sinh u sin(omega t), as ln 4 + ln hypot(1, y)
+        return -math.log(bho) + math.log(4.0 * math.hypot(1.0, math.sinh(u) * math.sin(w * t)))
     if regime == "equal_freq_low_T":
         _warn_regime(bho > 1.0 and w == wr, regime, "needs omega_ref=omega, beta*hbar*omega >> 1")
-        if params.zero_temperature:
-            return LN6
         return LN6 + 2.0 * math.exp(-bho) / LN6
     if regime == "equal_freq_high_T":
         _warn_regime(bho < 1.0 and w == wr, regime, "needs omega_ref=omega, beta*hbar*omega << 1")
@@ -338,17 +357,14 @@ def asymptotic_amplitude(regime: str, params: PhysicalParams) -> float:
     """
     w, wr = params.omega, params.omega_ref
     bho = _bho(params)
-    u = math.log(wr / w)
+    u = math.log(wr) - math.log(w)
     if regime == "low_T":
         _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
-        if params.zero_temperature:
-            return 0.0
         base = math.sqrt(LN6 * LN6 + 2.0 * u * u)
-        return (2.0 * math.exp(-bho) / base) * (_log_ratio_factor(params) - 1.0)
+        return (2.0 * math.exp(-bho) / base) * (_log_ratio_factor(u) - 1.0)
     if regime == "high_T":
         _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
-        lead = math.log((wr * wr + w * w) / (2.0 * wr * w))
-        return lead - u * u / (2.0 * math.log(1.0 / bho))
+        return math.log(math.cosh(u)) + u * u / (2.0 * math.log(bho))
     if regime == "high_freq":
         delta = w / wr
         _warn_regime(delta > 1.0, regime, "needs omega/omega_ref >> 1")

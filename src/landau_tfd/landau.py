@@ -20,7 +20,6 @@ from .complexity import PhysicalParams
 
 __all__ = [
     "QuantumNumbers",
-    "WavefunctionSample",
     "laguerre",
     "energy",
     "length_scale",
@@ -51,16 +50,6 @@ class QuantumNumbers:
     def k(self) -> int:
         """Shifted quantum number k = n + ell (always >= 0)."""
         return self.n + self.ell
-
-
-@dataclass(frozen=True)
-class WavefunctionSample:
-    """One evaluation point of a Landau-level wavefunction."""
-
-    rho: float
-    phi: float
-    value: complex
-    lam: float
 
 
 def laguerre(n: int, ell: int, r):

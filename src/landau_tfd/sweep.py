@@ -10,8 +10,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,22 +175,6 @@ def _beta_label(beta: float) -> str:
     return "inf" if math.isinf(beta) else format(beta, "g")
 
 
-def _workers() -> int:
-    env = os.environ.get("TFD_SEED_THREADS")
-    if env is None:
-        return 1
-    return max(1, int(env))
-
-
-def _map_indexed(fn, items):
-    """Evaluate fn over items, in parallel if allowed; output order by index."""
-    n = _workers()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _base_metadata(config: SweepConfig) -> dict:
     return {"config": json.dumps(config.to_dict(), sort_keys=True)}
 
@@ -219,8 +201,8 @@ def run_time_series(config: SweepConfig) -> SweepTable:
             rate = [high_T_rate_limit(t, p.omega, p.omega_ref) for t in ts]
         else:
             pb = p.with_(beta=beta)
-            comp = _map_indexed(lambda t, pb=pb: complexity(t, pb), ts)
-            rate = _map_indexed(lambda t, pb=pb: complexity_rate(t, pb), ts)
+            comp = [complexity(t, pb) for t in ts]
+            rate = [complexity_rate(t, pb) for t in ts]
         series.append((comp, rate))
     rows = []
     for i, t in enumerate(ts):
@@ -244,7 +226,7 @@ def run_beta_sweep(config: SweepConfig) -> SweepTable:
         half = math.pi / (2.0 * pb.omega)
         return (float(beta), complexity(half, pb), oscillation_amplitude(pb))
 
-    rows = _map_indexed(point, rng.grid())
+    rows = [point(x) for x in rng.grid()]
     return SweepTable(
         columns=[("beta", "1/energy"), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
         rows=rows,
@@ -262,7 +244,7 @@ def run_omega_sweep(config: SweepConfig) -> SweepTable:
         half = math.pi / (2.0 * pw.omega)
         return (float(omega), complexity(half, pw), oscillation_amplitude(pw))
 
-    rows = _map_indexed(point, rng.grid())
+    rows = [point(x) for x in rng.grid()]
     return SweepTable(
         columns=[("omega", "1/time"), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
         rows=rows,
@@ -279,7 +261,7 @@ def run_lloyd(config: SweepConfig) -> SweepTable:
         res = lloyd_check(p.with_(beta=float(beta)))
         return (float(beta), res.max_rate, res.bound, res.satisfied)
 
-    rows = _map_indexed(point, rng.grid())
+    rows = [point(x) for x in rng.grid()]
     return SweepTable(
         columns=[("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
         rows=rows,

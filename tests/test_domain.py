@@ -1,0 +1,109 @@
+"""The closed forms over the whole physical domain, against the mpmath reference.
+
+The domain is beta hbar omega in [1e-300, inf] and any ratio omega/omega_ref;
+``mp_reference`` evaluates the definitions at high precision.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mp_reference as ref
+from landau_tfd import PhysicalParams, complexity, complexity_rate, lloyd_check, relative_spectrum
+from landau_tfd.cli import main
+
+
+def params_at(bho: float, omega: float, omega_ref: float = 1.0) -> PhysicalParams:
+    return PhysicalParams(omega=omega, omega_ref=omega_ref, beta=bho / omega)
+
+
+class TestHighTemperatureEdge:
+    def test_complexity_and_rate_at_bho_1e_17(self):
+        omega = 0.5
+        p = params_at(1e-17, omega)
+        for t in (0.0, 0.3, 1.1, 2.9, 4.6):
+            assert ref.relative_error(complexity(t, p), ref.complexity(t, omega, p.beta)) <= 1e-15
+        for t in (0.3, 1.1, 2.9, 4.6):
+            assert ref.relative_error(complexity_rate(t, p), ref.complexity_rate(t, omega, p.beta)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["time-series", "omega-sweep"])
+    def test_cli_beta_1e_17(self, mode, capsys):
+        assert main(["--mode", mode, "--beta", "1e-17", "--samples", "4", "--range", "0.1:10:4:log"]) == 0
+        assert "nan" not in capsys.readouterr().out
+
+    def test_cli_high_T_rate_limit_at_omega_1e200(self, capsys):
+        assert main(["--mode", "time-series", "--omega", "1e200", "--beta", "0", "--samples", "4"]) == 0
+        assert "nan" not in capsys.readouterr().out
+
+    def test_relative_spectrum_at_bho_1e_200(self):
+        omega = 0.5
+        p = params_at(1e-200, omega)
+        for t in (0.0, 0.7, 3.0):
+            spec = relative_spectrum(t, p)
+            for a, a_ref, e_small, e_big in zip(
+                (spec.a_plus, spec.a_minus), ref.a_values(t, omega, p.beta), spec.e[0:4:2], spec.e[1:4:2]
+            ):
+                assert ref.relative_error(a, a_ref) <= 1e-13
+                assert ref.relative_error(e_big, ref.mp.exp(ref.mp.acosh(a_ref))) <= 1e-12
+                assert e_small * e_big == pytest.approx(1.0, rel=1e-15)
+
+
+class TestExtremeFrequencies:
+    @pytest.mark.parametrize(
+        "omega, beta", [(1e300, 1.0), (1e-300, 1.0), (1e-300, math.inf)], ids=["1e300", "1e-300", "1e-300-zero-T"]
+    )
+    def test_complexity_finite(self, omega, beta):
+        p = PhysicalParams(omega=omega, omega_ref=1.0, beta=beta)
+        for t in (0.0, 0.37 / omega, 1.9 / omega):
+            got = complexity(t, p)
+            assert math.isfinite(got)
+            assert ref.relative_error(got, ref.complexity(t, omega, beta)) <= 1e-15
+
+
+class TestLowTemperatureRate:
+    def test_lloyd_max_rate_at_bho_100(self):
+        omega = 0.5
+        res = lloyd_check(params_at(100.0, omega))
+        assert res.max_rate > 0.0
+        want = abs(ref.complexity_rate(res.argmax_t, omega, 100.0 / omega))
+        assert ref.relative_error(res.max_rate, want) <= 1e-10
+        assert res.satisfied
+
+
+def draw(rnd) -> tuple:
+    """(beta hbar omega, omega, omega_ref): both log-uniform, beta = inf one time in twenty.
+
+    omega = 2^k makes omega t and beta omega exact, so the library sees the
+    phase the reference sees: at high temperature and large |u|, C is so
+    sensitive to the phase that one rounding of omega t alone would exceed
+    the tolerance.
+    """
+    bho = math.inf if rnd.random() < 0.05 else 10.0 ** rnd.uniform(-300.0, 3.0)
+    omega = 2.0 ** rnd.randint(-4, 4)
+    return bho, omega, omega / 10.0 ** rnd.uniform(-8.0, 8.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(point=st.randoms(use_true_random=True).map(draw), t=st.floats(-1e6, 1e6))
+@example(point=(math.inf, 1.0, 1.0), t=0.7)
+@example(point=(1.0, 0.25, 0.25), t=0.7)
+@example(point=(math.inf, 16.0, 1e-7), t=0.3)
+@example(point=(1e-300, 16.0, 1.6e-7), t=0.3)
+@example(point=(600.0, 1.0, 1.1), t=0.4)
+def test_matches_mpmath_over_the_domain(point, t):
+    """C to 1e-15 everywhere; dC/dt to 1e-12 away from its zeros and from omega = omega_ref.
+
+    beta hbar omega is log-uniform in [1e-300, 1e3] or inf, omega/omega_ref
+    log-uniform in [1e-8, 1e8], and t any float in [-1e6, 1e6].  The rate
+    is exactly 0 at beta = inf and at omega = omega_ref.
+    """
+    bho, omega, omega_ref = point
+    p = params_at(bho, omega, omega_ref)
+    assert ref.relative_error(complexity(t, p), ref.complexity(t, omega, p.beta, omega_ref)) <= 1e-15
+    rate = complexity_rate(t, p)
+    if math.isinf(bho) or omega == omega_ref:
+        assert rate == 0.0
+    elif abs(math.log(omega / omega_ref)) >= 0.1 and bho <= 600.0 and abs(math.sin(2.0 * omega * t)) >= 0.05:
+        assert ref.relative_error(rate, ref.complexity_rate(t, omega, p.beta, omega_ref)) <= 1e-12

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -179,14 +178,6 @@ class TestSerialization:
         assert doc["rows"][0][1] == "inf"
         assert [c["name"] for c in doc["columns"]] == [c[0] for c in table.columns]
 
-    def test_threaded_output_identical(self, monkeypatch):
-        cfg = small_config("time-series", betas=(1.5,))
-        monkeypatch.delenv("TFD_SEED_THREADS", raising=False)
-        serial = run_time_series(cfg).to_csv()
-        monkeypatch.setenv("TFD_SEED_THREADS", "4")
-        threaded = run_time_series(cfg).to_csv()
-        assert serial == threaded
-
 
 class TestVerify:
     def test_report_passes(self):
@@ -259,7 +250,6 @@ class TestCli:
             [sys.executable, "-m", "landau_tfd.cli", "--mode", "time-series", "--samples", "4", "--beta", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "TFD_SEED_THREADS": "2"},
         )
         assert proc.returncode == 0
         assert "complexity[beta=2]" in proc.stdout
