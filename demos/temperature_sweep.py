@@ -28,7 +28,7 @@ print(f"amplitude saturation (hot limit) = {saturation:.6f}")
 print(f"complexity floor (cold limit)    = {floor:.6f}\n")
 
 print(f"{'beta':>12s} {'C(T/2)':>12s} {'amplitude':>12s}")
-for beta, comp, amp in table.rows:
+for beta, comp, amp in zip(*(table.column(n) for n in ("beta", "complexity_half_period", "amplitude"))):
     print(f"{beta:12.4g} {comp:12.6f} {amp:12.3e}")
 
 # the same table serializes to CSV with the full configuration echoed

@@ -22,8 +22,6 @@ from .complexity import (
 )
 from .fock import (
     OracleReport,
-    TruncatedOperator,
-    TwoModeState,
     commutator_report,
     hamiltonian_matrix,
     ladder_matrix,

@@ -38,12 +38,13 @@ def _parse_beta(text: str) -> float:
     return float(text)
 
 
-def _parse_range(text: str) -> SweepRange:
+def _parse_range(text: str) -> tuple:
+    """(start, stop, count, log); SweepRange checks the values."""
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise argparse.ArgumentTypeError("range must be start:stop:count[:log]")
     try:
-        return SweepRange(float(parts[0]), float(parts[1]), int(parts[2]), len(parts) == 4)
+        return float(parts[0]), float(parts[1]), int(parts[2]), len(parts) == 4
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -74,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> SweepConfig:
     betas = tuple(args.beta) if args.beta else (math.inf, 1.0, 0.0)
-    scalar_beta = next((b for b in betas if b > 0.0), 1.0)
+    # a time series draws one curve per beta, 0 included; every other mode runs at the first one
+    scalar_beta = next((b for b in betas if b > 0.0), 1.0) if args.mode == "time-series" else betas[0]
     params = PhysicalParams(
         hbar=args.hbar,
         mass=args.mass,
@@ -86,7 +88,7 @@ def _config_from_args(args) -> SweepConfig:
         mode=args.mode,
         params=params,
         betas=betas,
-        range_=args.range_,
+        range_=SweepRange(*args.range_) if args.range_ else None,
         samples_per_period=args.samples,
         fock_dim=args.fock_dim,
     )
@@ -126,12 +128,11 @@ def main(argv=None) -> int:
     _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
 
     if config.mode == "lloyd":
-        names = [c[0] for c in table.columns]
-        violations = [row for row in table.rows if not row[names.index("satisfied")]]
-        if violations:
+        violated = ~table.column("satisfied")
+        if violated.any():
             print("Lloyd bound violated at:", file=sys.stderr)
-            for row in violations:
-                print(f"  beta={row[0]:.6g} max_rate={row[1]:.6g} bound={row[2]:.6g}", file=sys.stderr)
+            for beta, rate, bound in zip(*(table.column(n)[violated] for n in ("beta", "max_rate", "bound"))):
+                print(f"  beta={beta:.6g} max_rate={rate:.6g} bound={bound:.6g}", file=sys.stderr)
             return LLOYD_VIOLATION
     return 0
 

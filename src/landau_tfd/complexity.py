@@ -46,7 +46,10 @@ class PhysicalParams:
     """Single source of truth for all evaluations.
 
     beta may be ``math.inf`` (zero temperature); everything else is
-    strictly positive and finite.
+    strictly positive and finite, and omega/omega_ref lies within
+    e^{+-700} (about 1e+-304), where sinh(ln(omega_ref/omega)) is finite.
+    beta and omega may be arrays: the closed forms broadcast them against
+    each other and against t.
     """
 
     hbar: float = 1.0
@@ -58,14 +61,16 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("hbar", "mass", "omega", "omega_ref"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
+            if not np.all(np.isfinite(v) & (v > 0.0)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not self.beta > 0.0:
+        if not np.all(self.beta > 0.0):
             raise ValueError(f"beta must be positive (inf allowed), got {self.beta}")
+        if not np.all(np.abs(np.log(self.omega_ref) - np.log(self.omega)) <= 700.0):
+            raise ValueError(f"omega/omega_ref must lie within e^(+-700), got {self.omega}/{self.omega_ref}")
 
     @property
     def zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
+        return np.isinf(self.beta)
 
     @property
     def period(self) -> float:
@@ -133,8 +138,8 @@ def _squeezing(x: float) -> tuple:
     Written in e^{-x} and expm1(-x), so nothing cancels as x -> 0 and
     nothing overflows as x -> inf; x = inf gives exactly (0, 0).
     """
-    q = 2.0 * math.exp(-x)
-    return math.log1p(q / -math.expm1(-x)), q / -math.expm1(-2.0 * x)
+    q = 2.0 * np.exp(-x)
+    return np.log1p(q / -np.expm1(-x)), q / -np.expm1(-2.0 * x)
 
 
 def alpha_of(params: PhysicalParams) -> TfdParams:
@@ -144,7 +149,7 @@ def alpha_of(params: PhysicalParams) -> TfdParams:
     """
     x = 0.5 * _bho(params)
     two_a, sinh2a = _squeezing(x)
-    return TfdParams(alpha=0.5 * two_a, cosh2a=1.0 / math.tanh(x), sinh2a=sinh2a)
+    return TfdParams(alpha=0.5 * two_a, cosh2a=1.0 / np.tanh(x), sinh2a=sinh2a)
 
 
 def partition_function(params: PhysicalParams) -> float:
@@ -160,7 +165,7 @@ def partition_function(params: PhysicalParams) -> float:
 
 def internal_energy(params: PhysicalParams) -> float:
     """Internal energy U = (hbar omega / 2) coth(beta hbar omega / 2)."""
-    return 0.5 * params.hbar * params.omega / math.tanh(0.5 * _bho(params))
+    return 0.5 * params.hbar * params.omega / np.tanh(0.5 * _bho(params))
 
 
 def covariance_g(t: float, params: PhysicalParams) -> CovarianceMatrix:
@@ -178,7 +183,19 @@ def covariance_g(t: float, params: PhysicalParams) -> CovarianceMatrix:
     return CovarianceMatrix(block_1p=blocks[0], block_1m=blocks[1], block_2=block_2, time=t)
 
 
-def _kernel(t: float, params: PhysicalParams) -> tuple:
+def _uhs(params: PhysicalParams) -> tuple:
+    """u = ln(omega_ref/omega), h = sinh((2a - |u|) / 2) and s = sqrt(|sinh u| sinh 2a)."""
+    two_a, sinh2a = _squeezing(0.5 * _bho(params))
+    u = np.log(params.omega_ref) - np.log(params.omega)
+    return u, np.sinh(0.5 * (two_a - np.abs(u))), np.sqrt(np.abs(np.sinh(u))) * np.sqrt(sinh2a)
+
+
+def _norm(u, a_c, a_s):
+    """C = sqrt(ln^2 6 + u^2 + 2 (a_c^2 + a_s^2)) with a = asinh r = theta / 2."""
+    return np.sqrt(LN6 * LN6 + u * u + 2.0 * (a_c * a_c + a_s * a_s))
+
+
+def _kernel(t, params: PhysicalParams) -> tuple:
     """C, s, r_c, r_s, asinh r_c and asinh r_s at time t.
 
     With u = ln(omega_ref/omega) and the squeezing 2a, the two
@@ -189,16 +206,13 @@ def _kernel(t: float, params: PhysicalParams) -> tuple:
         h = sinh((2a - |u|) / 2),  s = sqrt(|sinh u| sinh 2a).
 
     A >= 1 holds by construction, and only the ratio omega/omega_ref
-    enters, through u.
+    enters, through u.  t, beta and omega broadcast against each other.
     """
-    two_a, sinh2a = _squeezing(0.5 * _bho(params))
-    u = math.log(params.omega_ref) - math.log(params.omega)
-    h = math.sinh(0.5 * (two_a - abs(u)))
-    s = math.sqrt(abs(math.sinh(u))) * math.sqrt(sinh2a)
+    u, h, s = _uhs(params)
     phase = 0.5 * params.omega * t
-    r_c, r_s = math.hypot(h, s * math.cos(phase)), math.hypot(h, s * math.sin(phase))
-    a_c, a_s = math.asinh(r_c), math.asinh(r_s)
-    return math.sqrt(LN6 * LN6 + u * u + 2.0 * (a_c * a_c + a_s * a_s)), s, r_c, r_s, a_c, a_s
+    r_c, r_s = np.hypot(h, s * np.cos(phase)), np.hypot(h, s * np.sin(phase))
+    a_c, a_s = np.arcsinh(r_c), np.arcsinh(r_s)
+    return _norm(u, a_c, a_s), s, r_c, r_s, a_c, a_s
 
 
 def relative_spectrum(t: float, params: PhysicalParams) -> RelativeSpectrum:
@@ -223,18 +237,20 @@ def relative_spectrum(t: float, params: PhysicalParams) -> RelativeSpectrum:
     )
 
 
-def complexity(t: float, params: PhysicalParams) -> float:
+def complexity(t, params: PhysicalParams):
     """Nielsen complexity, half the Frobenius norm of ln(relative covariance).
 
     With u = ln(omega_ref/omega), the squeezing 2a (tanh a = e^{-beta hbar omega/2})
     and the time-dependent pairs exp(+-theta_c), exp(+-theta_s) of ``_kernel``,
 
         C = sqrt(ln^2 6 + u^2 + (theta_c^2 + theta_s^2) / 2),  theta = 2 asinh r.
+
+    t may be an array, and beta and omega in params may be arrays; they broadcast.
     """
     return _kernel(t, params)[0]
 
 
-def complexity_rate(t: float, params: PhysicalParams) -> float:
+def complexity_rate(t, params: PhysicalParams):
     """Analytic time derivative of the complexity.
 
     In the variables of ``complexity``, with f(theta) = theta / sinh theta,
@@ -250,55 +266,84 @@ def complexity_rate(t: float, params: PhysicalParams) -> float:
     so nothing cancels at low temperature, and every sinh and cosh of m
     and theta is scaled by e^{-m}, so nothing overflows at high
     temperature.  The rate is exactly 0 at beta = inf and at
-    omega = omega_ref, where s = 0.
+    omega = omega_ref, where s = 0.  Broadcasts like ``complexity``.
     """
     c, s, r_c, r_s, a_c, a_s = _kernel(t, params)
     # e^{-theta/2} = 1/(r + sqrt(1 + r^2)); rho and eta are sinh and cosh of theta/2 times it
-    g_c, g_s = math.hypot(1.0, r_c), math.hypot(1.0, r_s)
+    g_c, g_s = np.hypot(1.0, r_c), np.hypot(1.0, r_s)
     w_c, w_s = 1.0 / (r_c + g_c), 1.0 / (r_s + g_s)
     rho_c, eta_c, rho_s, eta_s = r_c * w_c, g_c * w_c, r_s * w_s, g_s * w_s
     sinh_theta = rho_c * eta_c * rho_s * eta_s  # e^{-2m} sinh(theta_c) sinh(theta_s) / 4
-    if sinh_theta == 0.0:
-        # theta = 0 needs h = 0 and s sin(omega t / 2) = 0, so s^2 sin(omega t) = 0 too:
-        # f's removable singularity at theta = 0 is met only where the rate vanishes
-        return 0.0
     sinh_m = rho_s * eta_c + rho_c * eta_s
     cosh_m = eta_s * eta_c + rho_s * rho_c
     s2 = (s * w_c) * (s * w_s)  # s^2 e^{-m}
     wt = params.omega * t
-    z = -s2 * math.cos(wt) / sinh_m  # sinh d
-    num = math.asinh(z) * sinh_m * math.hypot(1.0, z) - (a_c + a_s) * cosh_m * z
-    rate = s2 * params.omega * math.sin(wt) * num / (4.0 * sinh_theta * c)
-    return rate or 0.0  # -0.0 -> 0.0: an exact zero, as where s = 0, prints as 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -s2 * np.cos(wt) / sinh_m  # sinh d
+        num = np.arcsinh(z) * sinh_m * np.hypot(1.0, z) - (a_c + a_s) * cosh_m * z
+        rate = s2 * params.omega * np.sin(wt) * num / (4.0 * sinh_theta * c)
+    # theta = 0 needs h = 0 and s sin(omega t / 2) = 0, so s^2 sin(omega t) = 0 too:
+    # f's removable singularity at theta = 0 is met only where the rate vanishes.
+    # Adding 0.0 turns -0.0 into 0.0, so an exact zero, as where s = 0, prints as 0.
+    return np.where(sinh_theta == 0.0, 0.0, rate) + 0.0
 
 
-def high_T_rate_limit(t: float, omega: float, omega_ref: float) -> float:
+def high_T_rate_limit(t, omega, omega_ref):
     """Infinite-temperature limit of the complexity rate.
 
     omega tanh^2 u sin(2 omega t) / (2 (1 - tanh^2 u cos^2 omega t)) with
     u = ln(omega_ref/omega), evaluated as omega y v / (1 + y^2) with
     y = sinh u sin(omega t) and v = sinh u cos(omega t), which neither
-    cancels nor divides 0 by 0 at large |u|.
+    cancels nor divides 0 by 0 at large |u|.  t, omega and omega_ref broadcast.
     """
-    if omega <= 0.0 or omega_ref <= 0.0:
+    if np.any(omega <= 0.0) or np.any(omega_ref <= 0.0):
         raise ValueError("frequencies must be positive")
-    sinh_u = math.sinh(math.log(omega_ref) - math.log(omega))
-    y = sinh_u * math.sin(omega * t)
-    g = math.hypot(1.0, y)
-    return omega * (y / g) * (sinh_u * math.cos(omega * t) / g)
+    sinh_u = np.sinh(np.log(omega_ref) - np.log(omega))
+    y = sinh_u * np.sin(omega * t)
+    g = np.hypot(1.0, y)
+    return omega * (y / g) * (sinh_u * np.cos(omega * t) / g)
 
 
-def oscillation_amplitude(params: PhysicalParams) -> float:
+def oscillation_amplitude(params: PhysicalParams):
     """Amplitude of the complexity oscillations, C(T/2) - C(0).
 
-    The difference still cancels at low temperature, where the amplitude
-    is of order e^{-beta hbar omega} and C is of order 1: against a
-    high-precision reference its relative error is about 1e-10 at
-    beta hbar omega = 10, 1e-7 at 20 and 1e-3 at 30, and no digit is
-    left at 40.
+    In the variables of ``_kernel``, at t = T/2 both pairs have
+    r_1^2 = h^2 + s^2/2, and at t = 0 they have r_c0^2 = h^2 + s^2 and
+    r_s0^2 = h^2.  With a = asinh r and g = sqrt(1 + r^2), the steps
+    from t = 0 to T/2 are
+
+        D_c = a_1 - a_c0 = -asinh w_c,  D_s = a_1 - a_s0 = asinh w_s,
+        w = (s^2/2) / X,  X_c = r_1 g_c0 + r_c0 g_1,  X_s = r_1 g_s0 + r_s0 g_1,
+
+    and C(T/2)^2 - C(0)^2 = 2 (2 a_1 (D_c + D_s) - D_c^2 - D_s^2).  At low
+    temperature D_c and D_s are of first order in s^2 and their sum of
+    second order, so the sum is taken in factored form,
+
+        D_c + D_s = asinh((w_s - w_c)(w_s + w_c) / (w_s sqrt(1 + w_c^2) + w_c sqrt(1 + w_s^2))),
+        w_s - w_c = (s^2/2) (X_c - X_s) / (X_c X_s),
+        X_c - X_s = s^2 (r_1 / (g_c0 + g_s0) + g_1 / (r_c0 + r_s0)),
+
+    and nothing cancels.  Every r, g and s is divided by g_1 >= r_1, so
+    nothing overflows at high temperature.  The amplitude is exactly 0
+    where s^2 = 0 (beta = inf or omega = omega_ref), where C does not
+    depend on t.  beta and omega in params may be arrays.
     """
-    half = math.pi / (2.0 * params.omega)
-    return complexity(half, params) - complexity(0.0, params)
+    u, h, s = _uhs(params)
+    r_1, r_c0, r_s0 = np.hypot(h, s * math.sqrt(0.5)), np.hypot(h, s), np.abs(h)
+    a_1, a_c0, a_s0 = np.arcsinh(r_1), np.arcsinh(r_c0), np.arcsinh(r_s0)
+    g_1 = np.hypot(1.0, r_1)
+    # from here on s, r and g are divided by g_1
+    s, r_1, r_c0, r_s0 = s / g_1, r_1 / g_1, r_c0 / g_1, r_s0 / g_1
+    g_c0, g_s0 = np.hypot(1.0 / g_1, r_c0), np.hypot(1.0 / g_1, r_s0)
+    half_s2 = 0.5 * s * s
+    x_c, x_s = r_1 * g_c0 + r_c0, r_1 * g_s0 + r_s0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_c, w_s = half_s2 / x_c, half_s2 / x_s
+        dw = half_s2 * (s * s) * (r_1 / (g_c0 + g_s0) + 1.0 / (r_c0 + r_s0)) / (x_c * x_s)
+        d_sum = np.arcsinh(dw * ((w_s + w_c) / (w_s * np.hypot(1.0, w_c) + w_c * np.hypot(1.0, w_s))))
+    d_c, d_s = -np.arcsinh(w_c), np.arcsinh(w_s)
+    amp = 2.0 * (2.0 * a_1 * d_sum - d_c * d_c - d_s * d_s) / (_norm(u, a_1, a_1) + _norm(u, a_c0, a_s0))
+    return np.where(half_s2 > 0.0, amp, 0.0)[()]
 
 
 def _warn_regime(condition: bool, regime: str, detail: str) -> None:
@@ -372,22 +417,27 @@ def asymptotic_amplitude(regime: str, params: PhysicalParams) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section maximizer returning the argmax to tolerance tol."""
+def _golden_max(f, lo, hi, tol: float = 1e-10):
+    """Golden-section maximizer of f elementwise over [lo, hi], returning the argmax to tolerance tol.
+
+    f is evaluated once per step on every element; an element whose
+    bracket is already below tol keeps it.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    while np.any(active := b - a > tol):
+        # the maximum lies in [a, d] where left and in [c, b] where right
+        left, right = active & (fc > fd), active & ~(fc > fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, fc, d, fd = np.where(right, d, c), np.where(right, fd, fc), np.where(left, c, d), np.where(left, fc, fd)
+        # the one new point: c where left, d where right
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
     return 0.5 * (a + b)
 
 
@@ -395,23 +445,27 @@ def lloyd_check(params: PhysicalParams, t_samples: int = 257) -> LloydResult:
     """Compare the maximum complexity rate over one period with 2U/(pi hbar).
 
     The maximum is located on a uniform grid and polished by
-    golden-section search around the grid argmax.
+    golden-section search around the grid argmax.  beta and omega in
+    params may be arrays; every field of the result then has their
+    broadcast shape.
     """
     if t_samples < 8:
         raise ValueError("t_samples must be at least 8")
     bound = 2.0 * internal_energy(params) / (math.pi * params.hbar)
-    period = params.period
 
     def abs_rate(t):
-        return abs(complexity_rate(t, params))
+        return np.abs(complexity_rate(t, params))
 
-    ts = np.linspace(0.0, period, t_samples)
-    rates = np.array([abs_rate(t) for t in ts])
-    i = int(np.argmax(rates))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, t_samples - 1)]
-    t_star = _golden_max(abs_rate, lo, hi)
-    max_rate = abs_rate(t_star)
-    if rates[i] > max_rate:
-        max_rate, t_star = rates[i], ts[i]
+    # one grid of t per parameter point, along axis 0
+    shape = np.broadcast(params.beta, params.omega).shape
+    ts = np.linspace(0.0, np.broadcast_to(params.period, shape), t_samples)
+    rates = abs_rate(ts)
+    i = np.argmax(rates, axis=0)[None]
+
+    def at(k):
+        return np.take_along_axis(ts, np.clip(k, 0, t_samples - 1), axis=0)[0]
+
+    t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
+    max_rate, grid_max = abs_rate(t_star), rates.max(axis=0)
+    t_star, max_rate = np.where(grid_max > max_rate, at(i), t_star)[()], np.maximum(grid_max, max_rate)
     return LloydResult(max_rate=max_rate, bound=bound, satisfied=max_rate <= bound, argmax_t=t_star)

@@ -18,8 +18,7 @@ import numpy as np
 from .complexity import PhysicalParams
 
 __all__ = [
-    "TruncatedOperator",
-    "TwoModeState",
+    "MAX_DIM",
     "CheckResult",
     "OracleReport",
     "ladder_matrix",
@@ -29,25 +28,7 @@ __all__ = [
     "commutator_report",
 ]
 
-_MAX_DIM = 128
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A single-mode operator truncated to an N-dimensional Fock space."""
-
-    dim: int
-    entries: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Two-mode state with amplitudes c[n, n'] over |n>_L |n'>_R."""
-
-    dim: int
-    amplitudes: np.ndarray
-    norm_deficit: float
+MAX_DIM = 128  # cap on the truncation size N of the dense N x N matrices
 
 
 @dataclass(frozen=True)
@@ -88,67 +69,53 @@ class OracleReport:
 def _check_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError(f"truncation size must be at least 2, got {dim}")
-    if dim > _MAX_DIM:
-        raise ValueError(f"truncation size {dim} exceeds the dense-matrix cap {_MAX_DIM}")
+    if dim > MAX_DIM:
+        raise ValueError(f"truncation size {dim} exceeds the dense-matrix cap {MAX_DIM}")
 
 
-def ladder_matrix(kind: str, dim: int) -> TruncatedOperator:
+def ladder_matrix(kind: str, dim: int) -> np.ndarray:
     """Annihilation or creation matrix: (a)_{n-1,n} = sqrt(n)."""
     _check_dim(dim)
     a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
     if kind == "a":
-        return TruncatedOperator(dim, a, "a")
+        return a
     if kind == "a_dagger":
-        return TruncatedOperator(dim, a.T.copy(), "a_dagger")
+        return a.T.copy()
     raise ValueError(f"kind must be 'a' or 'a_dagger', got {kind!r}")
 
 
-def hamiltonian_matrix(dim: int, params: PhysicalParams) -> TruncatedOperator:
+def hamiltonian_matrix(dim: int, params: PhysicalParams) -> np.ndarray:
     """hbar*omega*(a^dag a + 1/2), assembled from the ladder matrices."""
     _check_dim(dim)
-    a = ladder_matrix("a", dim).entries
-    h = params.hbar * params.omega * (a.T @ a + 0.5 * np.eye(dim))
-    return TruncatedOperator(dim, h, "H")
+    a = ladder_matrix("a", dim)
+    return params.hbar * params.omega * (a.T @ a + 0.5 * np.eye(dim))
 
 
-def tfd_a_sector_state(t: float, params: PhysicalParams, dim: int) -> TwoModeState:
+def tfd_a_sector_state(t: float, params: PhysicalParams, dim: int) -> tuple:
     """The a-sector of the time-evolved TFD state, normalized on its own.
 
-    c_{n,n} = sqrt(1 - e^{-beta hbar omega}) e^{-beta hbar omega n / 2}
-              e^{-i omega t (n + 1/2)}, diagonal in the two-mode basis.
+    The state is diagonal in the two-mode basis, sum_n c_n |n>_L |n>_R, with
+
+        c_n = sqrt(1 - e^{-beta hbar omega}) e^{-beta hbar omega n / 2} e^{-i omega t (n + 1/2)};
+
+    returns the length-dim vector c and the norm the truncation drops.
     """
     _check_dim(dim)
-    if not params.zero_temperature and params.beta * params.hbar * params.omega <= 0.0:
+    bho = params.beta * params.hbar * params.omega
+    if not bho > 0.0:
         raise ValueError("beta*hbar*omega must be positive for a normalizable state")
+    q = math.exp(-bho)  # 0 at beta = inf, where c is the vacuum (1, 0, 0, ...)
     n = np.arange(dim)
-    if params.zero_temperature:
-        q = 0.0
-        mags = np.zeros(dim)
-        mags[0] = 1.0
-    else:
-        q = math.exp(-params.beta * params.hbar * params.omega)
-        mags = math.sqrt(1.0 - q) * q ** (n / 2.0)
-    phases = np.exp(-1j * params.omega * t * (n + 0.5))
-    c = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(c, mags * phases)
-    return TwoModeState(dim=dim, amplitudes=c, norm_deficit=q**dim)
+    return math.sqrt(1.0 - q) * q ** (n / 2.0) * np.exp(-1j * params.omega * t * (n + 0.5)), q**dim
 
 
 def _quadratures(dim: int, params: PhysicalParams):
     """Single-mode position and momentum matrices."""
-    a = ladder_matrix("a", dim).entries
+    a = ladder_matrix("a", dim)
     mw = params.mass * params.omega
     x = math.sqrt(params.hbar / (2.0 * mw)) * (a + a.T)
     p = -1j * math.sqrt(params.hbar * mw / 2.0) * (a - a.T)
     return x, p
-
-
-def _apply_terms(terms, c: np.ndarray) -> np.ndarray:
-    """Apply sum of (M_L, M_R) tensor-product terms to amplitudes c."""
-    out = np.zeros_like(c)
-    for ml, mr in terms:
-        out += ml @ c @ mr.T
-    return out
 
 
 def oracle_covariance_1pm(t: float, params: PhysicalParams, dim: int = 60):
@@ -157,29 +124,22 @@ def oracle_covariance_1pm(t: float, params: PhysicalParams, dim: int = 60):
     Expresses X_{1+-}, P_{1+-} through ladder matrices on the truncated
     two-mode space and takes symmetrized expectation values in the
     a-sector TFD state; returns (G1_plus, G1_minus) as 2x2 real arrays.
+    On the state matrix diag(c), (M x I) acts as M diag(c) and (I x M)
+    as diag(c) M^T, so each quadrature is applied without a matrix product.
     """
-    state = tfd_a_sector_state(t, params, dim)
-    if state.norm_deficit > 1e-10:
+    c, norm_deficit = tfd_a_sector_state(t, params, dim)
+    if norm_deficit > 1e-10:
         warnings.warn(
-            f"truncation norm deficit {state.norm_deficit:.3e} exceeds 1e-10; "
+            f"truncation norm deficit {norm_deficit:.3e} exceeds 1e-10; "
             "increase dim or beta*hbar*omega",
             RuntimeWarning,
         )
     x, p = _quadratures(dim, params)
-    eye = np.eye(dim)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     blocks = []
     for sign in (+1.0, -1.0):
-        xi = [
-            [(inv_sqrt2 * x, eye), (sign * inv_sqrt2 * eye, x)],  # X_{1 sign}
-            [(inv_sqrt2 * p, eye), (sign * inv_sqrt2 * eye, p)],  # P_{1 sign}
-        ]
-        applied = [_apply_terms(terms, state.amplitudes) for terms in xi]
-        g = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[i, j] = 2.0 * np.vdot(applied[i], applied[j]).real / params.hbar
-        blocks.append(g)
+        # X_{1 sign} and P_{1 sign} = (M x I + sign I x M) / sqrt(2) applied to the state
+        applied = [(m * c[None, :] + sign * c[:, None] * m.T) / math.sqrt(2.0) for m in (x, p)]
+        blocks.append(2.0 * np.array([[np.vdot(u, v).real for v in applied] for u in applied]) / params.hbar)
     return blocks[0], blocks[1]
 
 
@@ -194,7 +154,7 @@ def commutator_report(dim: int) -> OracleReport:
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     report = OracleReport()
-    a = ladder_matrix("a", dim).entries
+    a = ladder_matrix("a", dim)
     comm = a @ a.T - a.T @ a
     interior = comm[: dim - 1, : dim - 1] - np.eye(dim - 1)
     report.add("[a,a_dagger] interior", np.max(np.abs(interior)), 1e-12)
@@ -204,7 +164,7 @@ def commutator_report(dim: int) -> OracleReport:
 
     # tensor-factor commutator on a reduced two-mode space (kron growth)
     dt = min(dim, 16)
-    at = ladder_matrix("a", dt).entries
+    at = ladder_matrix("a", dt)
     a_l = np.kron(at, np.eye(dt))
     b_r = np.kron(np.eye(dt), at)
     report.add("[a,b] two-mode", np.max(np.abs(a_l @ b_r - b_r @ a_l)), 1e-12)

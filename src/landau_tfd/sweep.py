@@ -51,6 +51,8 @@ class SweepRange:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"count must be at least 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"range endpoints must be finite, got {self.start}:{self.stop}")
         if not self.start < self.stop:
             raise ValueError(f"start must be less than stop, got {self.start} >= {self.stop}")
         if self.log and self.start <= 0:
@@ -74,6 +76,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not all(b >= 0.0 for b in self.betas):
+            raise ValueError(f"every beta must be >= 0 (inf allowed), got {self.betas}")
+        if self.samples_per_period < 2:
+            raise ValueError(f"samples per period must be at least 2, got {self.samples_per_period}")
+        if not 4 <= self.fock_dim <= fock.MAX_DIM:
+            raise ValueError(f"fock_dim must be in [4, {fock.MAX_DIM}], got {self.fock_dim}")
+        if self.mode in ("beta-sweep", "omega-sweep", "lloyd") and self.range_ is not None and self.range_.start <= 0.0:
+            raise ValueError(f"{self.mode} needs a positive grid, got start {self.range_.start}")
 
     def to_dict(self) -> dict:
         d = {
@@ -124,38 +134,35 @@ class SweepConfig:
 
 @dataclass
 class SweepTable:
-    columns: list  # list of (name, unit)
-    rows: list  # list of tuples of floats
+    columns: list  # (name, unit) pairs, in output order
+    values: list  # one 1-D array per column, in the same order
     metadata: dict = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
-        idx = [c[0] for c in self.columns].index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.values[[c[0] for c in self.columns].index(name)]
+
+    def _rows(self):
+        return zip(*(v.tolist() for v in self.values))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         for key, value in self.metadata.items():
             buf.write(f"# {key}={_fmt_meta(value)}\n")
         buf.write(",".join(f"{name} ({unit})" for name, unit in self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        # bools print as 0/1, everything else at full precision
+        row = ",".join("{:d}" if v.dtype == bool else "{:.17g}" for v in self.values) + "\n"
+        buf.writelines(row.format(*r) for r in self._rows())
         return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "columns": [{"name": n, "unit": u} for n, u in self.columns],
-                "rows": [[_json_val(v) for v in row] for row in self.rows],
+                "rows": [[_json_val(v) for v in r] for r in self._rows()],
                 "metadata": self.metadata,
             },
             indent=2,
         )
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def _fmt_meta(v) -> str:
@@ -191,86 +198,55 @@ def run_time_series(config: SweepConfig) -> SweepTable:
         ts = config.range_.grid()
     else:
         ts = np.linspace(0.0, 2.0 * p.period, 2 * config.samples_per_period)
-    columns = [("t", "time")]
-    series = []
+    columns, values = [("t", "time")], [ts]
     for beta in config.betas:
         columns.append((f"complexity[beta={_beta_label(beta)}]", "dimensionless"))
         columns.append((f"rate[beta={_beta_label(beta)}]", "1/time"))
         if beta == 0.0:
-            comp = [math.inf] * len(ts)
-            rate = [high_T_rate_limit(t, p.omega, p.omega_ref) for t in ts]
+            values += [np.full(len(ts), math.inf), high_T_rate_limit(ts, p.omega, p.omega_ref)]
         else:
             pb = p.with_(beta=beta)
-            comp = [complexity(t, pb) for t in ts]
-            rate = [complexity_rate(t, pb) for t in ts]
-        series.append((comp, rate))
-    rows = []
-    for i, t in enumerate(ts):
-        row = [float(t)]
-        for comp, rate in series:
-            row.extend((comp[i], rate[i]))
-        rows.append(tuple(row))
+            values += [complexity(ts, pb), complexity_rate(ts, pb)]
     meta = _base_metadata(config)
     if any(b == 0.0 for b in config.betas):
         meta["beta0_note"] = "complexity column is the divergent high-temperature limit (inf); rate from the closed-form limit"
-    return SweepTable(columns=columns, rows=rows, metadata=meta)
+    return SweepTable(columns=columns, values=values, metadata=meta)
+
+
+def _half_period_sweep(config: SweepConfig, name: str, unit: str) -> SweepTable:
+    """Half-period complexity and amplitude over a grid of params.<name>."""
+    grid = (config.range_ or SweepRange(1e-2, 1e2, 64, log=True)).grid()
+    p = config.params.with_(**{name: grid})
+    return SweepTable(
+        columns=[(name, unit), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
+        values=[grid, complexity(math.pi / (2.0 * p.omega), p), oscillation_amplitude(p)],
+        metadata=_base_metadata(config),
+    )
 
 
 def run_beta_sweep(config: SweepConfig) -> SweepTable:
     """Half-period complexity and oscillation amplitude over a beta grid."""
-    rng = config.range_ or SweepRange(1e-2, 1e2, 64, log=True)
-    p = config.params
-
-    def point(beta):
-        pb = p.with_(beta=float(beta))
-        half = math.pi / (2.0 * pb.omega)
-        return (float(beta), complexity(half, pb), oscillation_amplitude(pb))
-
-    rows = [point(x) for x in rng.grid()]
-    return SweepTable(
-        columns=[("beta", "1/energy"), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
-        rows=rows,
-        metadata=_base_metadata(config),
-    )
+    return _half_period_sweep(config, "beta", "1/energy")
 
 
 def run_omega_sweep(config: SweepConfig) -> SweepTable:
     """Half-period complexity and amplitude over an omega grid at fixed beta."""
-    rng = config.range_ or SweepRange(1e-2, 1e2, 64, log=True)
-    p = config.params
-
-    def point(omega):
-        pw = p.with_(omega=float(omega))
-        half = math.pi / (2.0 * pw.omega)
-        return (float(omega), complexity(half, pw), oscillation_amplitude(pw))
-
-    rows = [point(x) for x in rng.grid()]
-    return SweepTable(
-        columns=[("omega", "1/time"), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
-        rows=rows,
-        metadata=_base_metadata(config),
-    )
+    return _half_period_sweep(config, "omega", "1/time")
 
 
 def run_lloyd(config: SweepConfig) -> SweepTable:
     """Maximum complexity rate against the energy bound over a beta grid."""
-    rng = config.range_ or SweepRange(1e-2, 1e2, 25, log=True)
-    p = config.params
-
-    def point(beta):
-        res = lloyd_check(p.with_(beta=float(beta)))
-        return (float(beta), res.max_rate, res.bound, res.satisfied)
-
-    rows = [point(x) for x in rng.grid()]
+    grid = (config.range_ or SweepRange(1e-2, 1e2, 25, log=True)).grid()
+    res = lloyd_check(config.params.with_(beta=grid))
     return SweepTable(
         columns=[("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
-        rows=rows,
+        values=[grid, res.max_rate, res.bound, res.satisfied],
         metadata=_base_metadata(config),
     )
 
 
-def finite_difference_rate(t: float, params: PhysicalParams, step: float | None = None) -> float:
-    """4th-order central finite difference of the complexity in time."""
+def finite_difference_rate(t, params: PhysicalParams, step: float | None = None):
+    """4th-order central finite difference of the complexity in time; t may be an array."""
     h = step if step is not None else 1e-5 * params.period
     f = lambda s: complexity(s, params)
     return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
@@ -331,9 +307,8 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
     for bho in (0.5, 2.0, 8.0):
         for omega in (0.1, 0.5, 2.0):
             pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
-            for t in np.linspace(0.05, 0.95, 6) * pb.period:
-                analytic = complexity_rate(t, pb)
-                fd = finite_difference_rate(t, pb)
-                dev = max(dev, abs(analytic - fd) / max(abs(fd), 1e-3))
+            ts = np.linspace(0.05, 0.95, 6) * pb.period
+            fd = finite_difference_rate(ts, pb)
+            dev = max(dev, np.max(np.abs(complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3)))
     report.add("rate vs finite differences (relative)", dev, 1e-6)
     return report

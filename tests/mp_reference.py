@@ -83,6 +83,19 @@ def complexity_rate(t: float, omega: float, beta: float, omega_ref: float = 1.0)
         return num / (2 * _complexity(pairs, omega, omega_ref))
 
 
+def amplitude(omega: float, beta: float, omega_ref: float = 1.0):
+    """C(T/2) - C(0) as an mpf, with T/2 = pi / (2 omega) exactly.
+
+    At low temperature the difference is of order exp(-beta omega) and C
+    of order 1, so the working precision grows by beta omega / ln 10 digits.
+    """
+    extra = 0.0 if math.isinf(beta) else beta * omega
+    with mp.workdps(_dps(omega, omega_ref, extra)):
+        half = mp.pi / (2 * mpf(omega))
+        c_half = _complexity(_pairs(half, omega, omega_ref, beta), omega, omega_ref)
+        return c_half - _complexity(_pairs(0, omega, omega_ref, beta), omega, omega_ref)
+
+
 def relative_error(got: float, want) -> float:
     """|got - want| / |want| as a float; 0 when both are 0."""
     with mp.workdps(DIGITS):

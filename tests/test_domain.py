@@ -5,13 +5,22 @@ The domain is beta hbar omega in [1e-300, inf] and any ratio omega/omega_ref;
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp_reference as ref
-from landau_tfd import PhysicalParams, complexity, complexity_rate, lloyd_check, relative_spectrum
+from landau_tfd import (
+    PhysicalParams,
+    complexity,
+    complexity_rate,
+    lloyd_check,
+    oscillation_amplitude,
+    relative_spectrum,
+)
 from landau_tfd.cli import main
 
 
@@ -70,6 +79,37 @@ class TestLowTemperatureRate:
         want = abs(ref.complexity_rate(res.argmax_t, omega, 100.0 / omega))
         assert ref.relative_error(res.max_rate, want) <= 1e-10
         assert res.satisfied
+
+
+class TestLowTemperatureAmplitude:
+    @pytest.mark.parametrize("bho", [10.0, 20.0, 30.0, 40.0, 60.0])
+    @pytest.mark.parametrize("omega", [0.1, 0.5, 0.9, 2.0])
+    def test_amplitude_matches_mpmath(self, bho, omega):
+        # C(T/2) - C(0) is of order exp(-beta hbar omega) against C of order 1;
+        # |u| = |ln omega| >= 0.1 for every omega here
+        p = params_at(bho, omega)
+        assert ref.relative_error(oscillation_amplitude(p), ref.amplitude(omega, p.beta)) <= 1e-12
+
+    def test_amplitude_exactly_zero_at_zero_temperature_equal_frequency(self):
+        # every term of the factored form is 0/0 there
+        assert oscillation_amplitude(PhysicalParams(omega=1.0, beta=math.inf)) == 0.0
+
+
+class TestNoFloatingPointWarnings:
+    @pytest.mark.parametrize(
+        "bho, omega",
+        [(math.inf, 0.5), (math.inf, 1.0), (1.0, 1.0), (1e-300, 0.5), (1e-300, 1.0), (1.0, 1e300), (1.0, 1e-300)],
+        ids=["zero-T", "zero-T-equal-freq", "equal-freq", "bho-1e-300", "bho-1e-300-equal-freq", "1e300", "1e-300"],
+    )
+    def test_kernel_is_silent(self, bho, omega):
+        p = PhysicalParams(omega=omega, beta=bho / omega)
+        ts = np.array([0.0, 0.3, 1.9]) / omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.0, ts):
+                assert np.all(np.isfinite(complexity(t, p)))
+                assert np.all(np.isfinite(complexity_rate(t, p)))
+            assert math.isfinite(oscillation_amplitude(p))
 
 
 def draw(rnd) -> tuple:

@@ -13,7 +13,9 @@ from landau_tfd import (
     SweepConfig,
     SweepRange,
     complexity,
+    complexity_rate,
     high_T_rate_limit,
+    oscillation_amplitude,
     run_beta_sweep,
     run_lloyd,
     run_omega_sweep,
@@ -135,6 +137,33 @@ class TestBetaOmegaSweeps:
         assert np.all(amp[omegas != 1.0] > 0.0)
 
 
+class TestArrayPath:
+    """The runners evaluate whole columns at once; each value equals the per-point scalar call."""
+
+    def test_time_series_bit_for_bit(self):
+        cfg = small_config("time-series", betas=(math.inf, 0.3, 2.0, 0.0), samples_per_period=32)
+        table = run_time_series(cfg)
+        p = cfg.params
+        for beta in cfg.betas:
+            label = "inf" if math.isinf(beta) else format(beta, "g")
+            names = ("t", f"complexity[beta={label}]", f"rate[beta={label}]")
+            for t, c, r in zip(*(table.column(n) for n in names)):
+                t = float(t)
+                if beta == 0.0:
+                    assert (c, r) == (math.inf, high_T_rate_limit(t, p.omega, p.omega_ref))
+                else:
+                    pb = p.with_(beta=beta)
+                    assert (c, r) == (complexity(t, pb), complexity_rate(t, pb))
+
+    def test_beta_sweep_bit_for_bit(self):
+        cfg = small_config("beta-sweep", range_=SweepRange(1e-3, 1e3, 40, log=True))
+        table = run_beta_sweep(cfg)
+        half = math.pi / (2.0 * cfg.params.omega)
+        for beta, c, amp in zip(*(table.column(n) for n in ("beta", "complexity_half_period", "amplitude"))):
+            pb = cfg.params.with_(beta=float(beta))
+            assert (c, amp) == (complexity(half, pb), oscillation_amplitude(pb))
+
+
 class TestLloyd:
     def test_all_satisfied(self):
         cfg = small_config("lloyd", range_=SweepRange(0.05, 50.0, 9, log=True))
@@ -170,7 +199,7 @@ class TestSerialization:
         lines = table.to_csv().splitlines()
         first = [ln for ln in lines if not ln.startswith("#")][1]
         val = float(first.split(",")[1])
-        assert val == table.rows[0][1]
+        assert val == table.column("complexity[beta=2]")[0]
 
     def test_json_loadable_with_inf(self):
         table = run_time_series(small_config("time-series", betas=(0.0,)))
@@ -244,6 +273,43 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "verify", "--fock-dim", "200"],
+            ["--mode", "verify", "--fock-dim", "1"],
+            ["--mode", "time-series", "--samples", "-3"],
+            ["--mode", "time-series", "--samples", "0"],
+            ["--mode", "time-series", "--beta", "-2"],
+            ["--mode", "time-series", "--beta", "nan"],
+            ["--mode", "beta-sweep", "--range", "1e-2:1e320:3:log"],
+            ["--mode", "beta-sweep", "--range=-1:1:3"],
+            ["--mode", "omega-sweep", "--beta", "0"],
+            ["--mode", "time-series", "--omega", "1e-320"],
+        ],
+        ids=[
+            "fock-dim-200",
+            "fock-dim-1",
+            "samples-3",
+            "samples-0",
+            "beta-2",
+            "beta-nan",
+            "range-overflow",
+            "range-negative",
+            "omega-sweep-beta-0",
+            "omega-ratio-overflow",
+        ],
+    )
+    def test_bad_input_is_one_line_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    def test_zero_temperature_is_silent(self, capsys):
+        assert main(["--mode", "time-series", "--omega", "1", "--beta", "inf", "--samples", "4"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_console_script_installed(self):
         proc = subprocess.run(
