@@ -32,12 +32,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_beta(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    return float(text)
-
-
 def _parse_range(text: str) -> tuple:
     """(start, stop, count, log); SweepRange checks the values."""
     parts = text.split(":")
@@ -59,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--omega-ref", type=float, default=1.0, help="reference frequency")
     parser.add_argument(
         "--beta",
-        type=_parse_beta,
+        type=float,
         action="append",
         help="inverse temperature; repeatable for multi-curve time series; accepts 'inf'",
     )
@@ -77,13 +71,7 @@ def _config_from_args(args) -> SweepConfig:
     betas = tuple(args.beta) if args.beta else (math.inf, 1.0, 0.0)
     # a time series draws one curve per beta, 0 included; every other mode runs at the first one
     scalar_beta = next((b for b in betas if b > 0.0), 1.0) if args.mode == "time-series" else betas[0]
-    params = PhysicalParams(
-        hbar=args.hbar,
-        mass=args.mass,
-        omega=args.omega,
-        omega_ref=args.omega_ref,
-        beta=scalar_beta,
-    )
+    params = PhysicalParams(hbar=args.hbar, mass=args.mass, omega=args.omega, omega_ref=args.omega_ref, beta=scalar_beta)
     return SweepConfig(
         mode=args.mode,
         params=params,

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 LN6 = math.log(6.0)
+_TINY = np.finfo(float).tiny
+_MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
 
 __all__ = [
     "LN6",
@@ -41,13 +43,22 @@ __all__ = [
 ]
 
 
+def _require(ok, rule: str, value) -> None:
+    """Raise ValueError with the rule and the value at the first point where ok fails."""
+    ok, value = np.broadcast_arrays(ok, value)
+    if not ok.all():
+        raise ValueError(f"{rule}, got {value[~ok][0]}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Single source of truth for all evaluations.
 
     beta may be ``math.inf`` (zero temperature); everything else is
-    strictly positive and finite, and omega/omega_ref lies within
-    e^{+-700} (about 1e+-304), where sinh(ln(omega_ref/omega)) is finite.
+    strictly positive and finite.  beta*hbar*omega is at least the
+    smallest normal double, 2 pi/omega is finite, and omega/omega_ref
+    lies within e^{+-700} (about 1e+-304), where sinh(ln(omega_ref/omega))
+    is finite.
     beta and omega may be arrays: the closed forms broadcast them against
     each other and against t.
     """
@@ -61,12 +72,17 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("hbar", "mass", "omega", "omega_ref"):
             v = getattr(self, name)
-            if not np.all(np.isfinite(v) & (v > 0.0)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not np.all(self.beta > 0.0):
-            raise ValueError(f"beta must be positive (inf allowed), got {self.beta}")
-        if not np.all(np.abs(np.log(self.omega_ref) - np.log(self.omega)) <= 700.0):
-            raise ValueError(f"omega/omega_ref must lie within e^(+-700), got {self.omega}/{self.omega_ref}")
+            _require(np.isfinite(v) & (v > 0.0), f"{name} must be positive and finite", v)
+        _require(self.beta > 0.0, "beta must be positive (inf allowed)", self.beta)
+        # below the smallest normal double, 2 alpha = log1p(2 e^{-x} / -expm1(-x)) overflows;
+        # an overflow to inf is the valid zero-temperature limit
+        with np.errstate(over="ignore"):
+            bho = self.beta * self.hbar * self.omega
+        _require(bho >= _TINY, f"beta*hbar*omega must be at least {_TINY:.17g}", bho)
+        # the default time series spans two periods, 2 pi/omega
+        _require(self.omega > _MIN_OMEGA, f"omega must exceed {_MIN_OMEGA:.17g}, where 2 pi/omega is finite", self.omega)
+        u = np.log(self.omega_ref) - np.log(self.omega)
+        _require(np.abs(u) <= 700.0, "ln(omega_ref/omega) must lie within [-700, 700]", u)
 
     @property
     def zero_temperature(self) -> bool:
@@ -421,14 +437,15 @@ def _golden_max(f, lo, hi, tol: float = 1e-10):
     """Golden-section maximizer of f elementwise over [lo, hi], returning the argmax to tolerance tol.
 
     f is evaluated once per step on every element; an element whose
-    bracket is already below tol keeps it.
+    bracket is already below tol, or below four ulps of its upper end, keeps it.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(active := b - a > tol):
+    # a bracket a few ulps wide cannot shrink further, which happens first for a long period
+    while np.any(active := b - a > np.maximum(tol, 4.0 * np.spacing(b))):
         # the maximum lies in [a, d] where left and in [c, b] where right
         left, right = active & (fc > fd), active & ~(fc > fd)
         a, b = np.where(right, c, a), np.where(left, d, b)

@@ -67,10 +67,8 @@ class OracleReport:
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 2:
-        raise ValueError(f"truncation size must be at least 2, got {dim}")
-    if dim > MAX_DIM:
-        raise ValueError(f"truncation size {dim} exceeds the dense-matrix cap {MAX_DIM}")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"truncation size must be in [2, {MAX_DIM}] (the dense-matrix cap), got {dim}")
 
 
 def ladder_matrix(kind: str, dim: int) -> np.ndarray:
@@ -101,10 +99,8 @@ def tfd_a_sector_state(t: float, params: PhysicalParams, dim: int) -> tuple:
     returns the length-dim vector c and the norm the truncation drops.
     """
     _check_dim(dim)
-    bho = params.beta * params.hbar * params.omega
-    if not bho > 0.0:
-        raise ValueError("beta*hbar*omega must be positive for a normalizable state")
-    q = math.exp(-bho)  # 0 at beta = inf, where c is the vacuum (1, 0, 0, ...)
+    # PhysicalParams keeps beta*hbar*omega positive; q = 0 at beta = inf, where c is the vacuum (1, 0, 0, ...)
+    q = math.exp(-params.beta * params.hbar * params.omega)
     n = np.arange(dim)
     return math.sqrt(1.0 - q) * q ** (n / 2.0) * np.exp(-1j * params.omega * t * (n + 0.5)), q**dim
 

@@ -2,19 +2,19 @@
 
 Generalized Laguerre polynomials by stable recurrence, the normalized
 wavefunctions in dimensionless polar coordinates, level energies, and
-quadrature / finite-difference oracles for the normalization and the
-ladder-operator actions.
+quadrature oracles for the normalization and the ladder-operator
+actions (finite differences in rho, an FFT derivative in phi).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.integrate import simpson
 
 from .complexity import PhysicalParams
 
@@ -111,6 +111,14 @@ def wavefunction(q: QuantumNumbers, rho, phi, params: PhysicalParams):
     return val if val.ndim else complex(val)
 
 
+@functools.cache
+def _gauss_laguerre(nodes: int) -> tuple:
+    """Gauss-Laguerre nodes and weights, built once per node count and read-only."""
+    x, w = laggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def laguerre_norm_integral(n: int, m: int, ell: int) -> float:
     """Gauss-Laguerre evaluation of int_0^inf r^ell e^{-r} L_n L_m dr.
 
@@ -124,7 +132,7 @@ def laguerre_norm_integral(n: int, m: int, ell: int) -> float:
         raise ValueError(
             f"quadrature order {nodes} exceeds the supported maximum {_MAX_QUAD_NODES}"
         )
-    x, w = laggauss(nodes)
+    x, w = _gauss_laguerre(nodes)
     return float(np.sum(w * x**ell * laguerre(n, ell, x) * laguerre(m, ell, x)))
 
 
@@ -135,7 +143,7 @@ def wavefunction_gram(states, params: PhysicalParams, n_radial: int = 64, n_angu
     of the integrand) and trapezoid in phi (periodic, spectrally
     accurate).  Orthonormal states give the identity.
     """
-    r, w = laggauss(n_radial)
+    r, w = _gauss_laguerre(n_radial)
     rho = np.sqrt(r)
     phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
     lam = length_scale(params)
@@ -149,15 +157,16 @@ def wavefunction_gram(states, params: PhysicalParams, n_radial: int = 64, n_angu
 
 
 # ---------------------------------------------------------------------------
-# finite-difference ladder-operator oracle
+# grid ladder-operator oracle
 # ---------------------------------------------------------------------------
 
-_LADDER_TARGETS = {
-    # which -> (dn, dell, coefficient as function of (n, ell))
-    "a": (-1, +1, lambda n, ell: math.sqrt(n)),
-    "a_dagger": (+1, -1, lambda n, ell: math.sqrt(n + 1)),
-    "b": (0, -1, lambda n, ell: math.sqrt(n + ell)),
-    "b_dagger": (0, +1, lambda n, ell: math.sqrt(n + ell + 1)),
+_LADDER = {
+    # which -> (dn, dell, s_rho, s_phi); the operator is
+    # -s_phi e^{i dell phi} (rho + s_rho d_rho + s_phi (i/rho) d_phi) / 2
+    "a": (-1, +1, +1, +1),
+    "a_dagger": (+1, -1, -1, +1),
+    "b": (0, -1, +1, -1),
+    "b_dagger": (0, +1, -1, -1),
 }
 
 
@@ -172,63 +181,63 @@ def _d_rho(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _d_phi(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order central difference along the periodic axis 1."""
-    return (
-        -np.roll(f, -2, axis=1)
-        + 8.0 * np.roll(f, -1, axis=1)
-        - 8.0 * np.roll(f, 1, axis=1)
-        + np.roll(f, 2, axis=1)
-    ) / (12.0 * h)
+def _d_phi(f: np.ndarray) -> np.ndarray:
+    """Spectral derivative along the periodic axis 1, with the Nyquist mode zeroed."""
+    n = f.shape[1]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    return np.fft.ifft(1j * k * np.fft.fft(f, axis=1), axis=1)
 
 
-def _grid(n_rho: int = 2000, n_phi: int = 256):
+def _grid(ell_max: int):
+    """rho grid with an odd count (composite Simpson) and a phi grid for |ell| <= ell_max.
+
+    A wavefunction is e^{i ell phi} times a radial factor, and the ladder
+    phase e^{+-i phi} shifts ell by one, so every field has modes up to
+    ell_max + 1.  With n_phi > 2 (ell_max + 1) neither the spectral
+    derivative nor the phi trapezoid sum of a product aliases.
+    """
     # rho = 0 excluded: the operators contain (1/rho) d_phi
-    rho = np.linspace(1e-3, 12.0, n_rho)
-    h = rho[1] - rho[0]
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return rho, h, phi
+    rho = np.linspace(1e-3, 12.0, 2001)
+    n_phi = 2 * ell_max + 4
+    return rho, rho[1] - rho[0], 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
 def _apply_ladder(which: str, q: QuantumNumbers, params: PhysicalParams, rho_grid, h, phi):
-    """Apply the differential-operator form of a ladder operator on the grid."""
+    """Apply the differential-operator form of a ladder operator (see ``_LADDER``) on the grid."""
+    _, dell, s_rho, s_phi = _LADDER[which]
     psi = wavefunction(q, rho_grid[:, None], phi[None, :], params)
-    dpsi_rho = _d_rho(psi, h)
-    dpsi_phi = _d_phi(psi, 2.0 * math.pi / len(phi))
     rho = rho_grid[:, None]
-    radial = rho * psi
-    angular = 1j * dpsi_phi / rho
-    phase = np.exp(1j * phi)[None, :]
-    if which == "a":
-        return -phase / 2.0 * (radial + dpsi_rho + angular)
-    if which == "a_dagger":
-        return -np.conjugate(phase) / 2.0 * (radial - dpsi_rho + angular)
-    if which == "b":
-        return np.conjugate(phase) / 2.0 * (radial + dpsi_rho - angular)
-    if which == "b_dagger":
-        return phase / 2.0 * (radial - dpsi_rho - angular)
-    raise ValueError(f"unknown ladder operator {which!r}")
+    derivatives = rho * psi + s_rho * _d_rho(psi, h) + s_phi * 1j * _d_phi(psi) / rho
+    return -s_phi * np.exp(1j * dell * phi) / 2.0 * derivatives
 
 
 def _project(target: np.ndarray, field: np.ndarray, rho: np.ndarray, phi: np.ndarray, lam: float) -> complex:
-    """lambda^2 * integral of conj(target) * field * rho drho dphi."""
-    integrand = np.conjugate(target) * field * rho[:, None]
-    radial = simpson(integrand, x=rho, axis=0)
+    """lambda^2 * integral of conj(target) * field * rho drho dphi.
+
+    Composite Simpson in rho (odd count, uniform spacing) and the trapezoid sum in phi.
+    """
+    simpson = np.full(len(rho), 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    radial = (simpson * rho) @ (np.conjugate(target) * field) * ((rho[1] - rho[0]) / 3.0)
     return complex(np.sum(radial) * (2.0 * math.pi / len(phi)) * lam * lam)
 
 
 def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -> float:
     """Overlap coefficient of a ladder operator applied numerically.
 
-    The operator's differential form is evaluated by finite differences
-    on a fine (rho, phi) grid and projected onto the predicted target
-    wavefunction by quadrature; for valid targets the result approaches
-    sqrt(n), sqrt(n+1), sqrt(n+ell), or sqrt(n+ell+1).  Annihilation of
-    a vacuum direction returns exactly 0 with a warning.
+    The operator's differential form is evaluated on a (rho, phi) grid,
+    by finite differences in rho and an FFT derivative in phi, and
+    projected onto the predicted target wavefunction by quadrature; for
+    valid targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell),
+    or sqrt(n+ell+1).  Annihilation of a vacuum direction returns
+    exactly 0 with a warning.
     """
-    if which not in _LADDER_TARGETS:
+    if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")
-    dn, dell, coeff = _LADDER_TARGETS[which]
+    dn, dell, _, _ = _LADDER[which]
     if which == "a" and q.n == 0:
         warnings.warn("a annihilates the n=0 states", RuntimeWarning)
         return 0.0
@@ -236,11 +245,10 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
         warnings.warn("b annihilates the k=0 states", RuntimeWarning)
         return 0.0
     target_q = QuantumNumbers(q.n + dn, q.ell + dell)
-    rho, h, phi = _grid()
+    rho, h, phi = _grid(max(abs(q.ell), abs(target_q.ell)))
     field = _apply_ladder(which, q, params, rho, h, phi)
     target = wavefunction(target_q, rho[:, None], phi[None, :], params)
-    overlap = _project(target, field, rho, phi, length_scale(params))
-    return overlap.real
+    return _project(target, field, rho, phi, length_scale(params)).real
 
 
 def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
@@ -249,8 +257,6 @@ def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
     Returns the projection of -i d_phi Psi onto Psi, which equals ell
     for an exact eigenstate (so the eigenvalue is hbar times this).
     """
-    rho, h, phi = _grid(n_rho=800, n_phi=256)
+    rho, _, phi = _grid(abs(q.ell))
     psi = wavefunction(q, rho[:, None], phi[None, :], params)
-    dphi = _d_phi(psi, 2.0 * math.pi / len(phi))
-    overlap = _project(psi, -1j * dphi, rho, phi, length_scale(params))
-    return overlap.real
+    return _project(psi, -1j * _d_phi(psi), rho, phi, length_scale(params)).real

@@ -8,9 +8,10 @@ output can be reproduced from its own header.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import fock
 from . import landau
 from .complexity import (
     PhysicalParams,
+    _require,
     complexity,
     complexity_rate,
     covariance_g,
@@ -39,6 +41,8 @@ __all__ = [
 ]
 
 MODES = ("time-series", "beta-sweep", "omega-sweep", "lloyd", "verify")
+# the swept field of each grid mode and the size of its default grid
+_GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("beta", 25)}
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,7 @@ class SweepRange:
     log: bool = False
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"count must be at least 2, got {self.count}")
+        _require(self.count >= 2, "count must be at least 2", self.count)
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"range endpoints must be finite, got {self.start}:{self.stop}")
         if not self.start < self.stop:
@@ -76,14 +79,18 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not all(b >= 0.0 for b in self.betas):
-            raise ValueError(f"every beta must be >= 0 (inf allowed), got {self.betas}")
-        if self.samples_per_period < 2:
-            raise ValueError(f"samples per period must be at least 2, got {self.samples_per_period}")
-        if not 4 <= self.fock_dim <= fock.MAX_DIM:
-            raise ValueError(f"fock_dim must be in [4, {fock.MAX_DIM}], got {self.fock_dim}")
-        if self.mode in ("beta-sweep", "omega-sweep", "lloyd") and self.range_ is not None and self.range_.start <= 0.0:
-            raise ValueError(f"{self.mode} needs a positive grid, got start {self.range_.start}")
+        _require(np.array(self.betas) >= 0.0, "every beta must be >= 0 (inf allowed)", self.betas)
+        _require(self.samples_per_period >= 2, "samples per period must be at least 2", self.samples_per_period)
+        _require(4 <= self.fock_dim <= fock.MAX_DIM, f"fock_dim must be in [4, {fock.MAX_DIM}]", self.fock_dim)
+        # every curve and grid point passes PhysicalParams before any compute
+        if self.mode == "time-series":
+            self.params.with_(beta=np.array([b for b in self.betas if b > 0.0]))
+        if self.mode in _GRIDS:
+            _grid_params(self, *_GRIDS[self.mode])
+        if self.mode == "verify":
+            # the oracles scale their grids and matrices by these, and rerun at omega in {0.1, 0.5, 2}
+            scales = np.array([self.params.hbar, self.params.mass, self.params.omega, self.params.omega_ref])
+            _require((scales >= 1e-100) & (scales <= 1e100), "verify needs hbar, mass, omega and omega_ref in [1e-100, 1e100]", scales)
 
     def to_dict(self) -> dict:
         d = {
@@ -98,35 +105,18 @@ class SweepConfig:
             "fock_dim": self.fock_dim,
         }
         if self.range_ is not None:
-            d["range"] = {
-                "start": self.range_.start,
-                "stop": self.range_.stop,
-                "count": self.range_.count,
-                "log": self.range_.log,
-            }
+            d["range"] = asdict(self.range_)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
-        def _beta(v):
-            return math.inf if v == "inf" else float(v)
-
-        rng = None
-        if "range" in d:
-            r = d["range"]
-            rng = SweepRange(float(r["start"]), float(r["stop"]), int(r["count"]), bool(r["log"]))
-        params = PhysicalParams(
-            hbar=float(d["hbar"]),
-            mass=float(d["mass"]),
-            omega=float(d["omega"]),
-            omega_ref=float(d["omega_ref"]),
-            beta=_beta(d["beta"]),
-        )
+        # float() reads the "inf" that to_dict writes for an infinite beta
+        r = d.get("range")
         return cls(
             mode=d["mode"],
-            params=params,
-            betas=tuple(_beta(b) for b in d["betas"]),
-            range_=rng,
+            params=PhysicalParams(**{k: float(d[k]) for k in ("hbar", "mass", "omega", "omega_ref", "beta")}),
+            betas=tuple(float(b) for b in d["betas"]),
+            range_=SweepRange(float(r["start"]), float(r["stop"]), int(r["count"]), bool(r["log"])) if r else None,
             samples_per_period=int(d["samples_per_period"]),
             fock_dim=int(d["fock_dim"]),
         )
@@ -213,10 +203,16 @@ def run_time_series(config: SweepConfig) -> SweepTable:
     return SweepTable(columns=columns, values=values, metadata=meta)
 
 
-def _half_period_sweep(config: SweepConfig, name: str, unit: str) -> SweepTable:
-    """Half-period complexity and amplitude over a grid of params.<name>."""
-    grid = (config.range_ or SweepRange(1e-2, 1e2, 64, log=True)).grid()
-    p = config.params.with_(**{name: grid})
+def _grid_params(config: SweepConfig, name: str, count: int) -> tuple:
+    """The grid of params.<name> (the range, or count log-spaced points in [1e-2, 1e2]) and params carrying it."""
+    grid = (config.range_ or SweepRange(1e-2, 1e2, count, log=True)).grid()
+    return grid, config.params.with_(**{name: grid})
+
+
+def _half_period_sweep(config: SweepConfig, mode: str, unit: str) -> SweepTable:
+    """Half-period complexity and amplitude over the grid of a beta- or omega-sweep."""
+    name, count = _GRIDS[mode]
+    grid, p = _grid_params(config, name, count)
     return SweepTable(
         columns=[(name, unit), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
         values=[grid, complexity(math.pi / (2.0 * p.omega), p), oscillation_amplitude(p)],
@@ -226,18 +222,18 @@ def _half_period_sweep(config: SweepConfig, name: str, unit: str) -> SweepTable:
 
 def run_beta_sweep(config: SweepConfig) -> SweepTable:
     """Half-period complexity and oscillation amplitude over a beta grid."""
-    return _half_period_sweep(config, "beta", "1/energy")
+    return _half_period_sweep(config, "beta-sweep", "1/energy")
 
 
 def run_omega_sweep(config: SweepConfig) -> SweepTable:
     """Half-period complexity and amplitude over an omega grid at fixed beta."""
-    return _half_period_sweep(config, "omega", "1/time")
+    return _half_period_sweep(config, "omega-sweep", "1/time")
 
 
 def run_lloyd(config: SweepConfig) -> SweepTable:
     """Maximum complexity rate against the energy bound over a beta grid."""
-    grid = (config.range_ or SweepRange(1e-2, 1e2, 25, log=True)).grid()
-    res = lloyd_check(config.params.with_(beta=grid))
+    grid, p = _grid_params(config, *_GRIDS["lloyd"])
+    res = lloyd_check(p)
     return SweepTable(
         columns=[("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
         values=[grid, res.max_rate, res.bound, res.satisfied],
@@ -258,13 +254,10 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
     report = fock.OracleReport()
 
     # Laguerre orthogonality against Gamma(n+ell+1)/n! * delta_nm
-    dev = 0.0
-    for ell in range(5):
-        for n in range(5):
-            for m in range(5):
-                got = landau.laguerre_norm_integral(n, m, ell)
-                want = math.exp(math.lgamma(n + ell + 1) - math.lgamma(n + 1)) if n == m else 0.0
-                dev = max(dev, abs(got - want))
+    dev = max(
+        abs(landau.laguerre_norm_integral(n, m, ell) - (math.exp(math.lgamma(n + ell + 1) - math.lgamma(n + 1)) if n == m else 0.0))
+        for ell, n, m in itertools.product(range(5), repeat=3)
+    )
     report.add("laguerre orthogonality", dev, 1e-9)
 
     # wavefunction Gram matrix for n + |ell| <= 4
@@ -277,7 +270,7 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
     gram = landau.wavefunction_gram(states, p)
     report.add("wavefunction orthonormality", np.max(np.abs(gram - np.eye(len(states)))), 1e-8)
 
-    # ladder-operator coefficients by the finite-difference oracle
+    # ladder-operator coefficients by the grid oracle (finite differences in rho, FFT in phi)
     cases = [
         (landau.QuantumNumbers(1, 0), "a_dagger", math.sqrt(2.0)),
         (landau.QuantumNumbers(0, 2), "b_dagger", math.sqrt(3.0)),
@@ -288,15 +281,13 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
     report.add("ladder-operator coefficients", dev, 1e-4)
 
     # commutators on the truncated space
-    for check in fock.commutator_report(config.fock_dim).checks:
-        report.checks.append(check)
+    report.checks += fock.commutator_report(config.fock_dim).checks
 
     # covariance blocks: brute force vs closed form
     dev = 0.0
-    period = p.period
     for bho in (1.0, 2.0, 4.0):
         pb = p.with_(beta=bho / (p.hbar * p.omega))
-        for t in np.linspace(0.0, period, 9):
+        for t in np.linspace(0.0, p.period, 9):
             g_p, g_m = fock.oracle_covariance_1pm(t, pb, config.fock_dim)
             closed = covariance_g(t, pb)
             dev = max(dev, np.max(np.abs(g_p - closed.block_1p)), np.max(np.abs(g_m - closed.block_1m)))

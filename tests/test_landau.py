@@ -1,6 +1,8 @@
 """Laguerre polynomials, wavefunctions, and the ladder-operator oracle."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -196,3 +198,26 @@ class TestAngularMomentum:
     def test_eigenvalue(self, n, ell):
         got = angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
         assert got == pytest.approx(ell, abs=1e-4)
+
+
+# |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4
+HIGH_ELL = [7, 8, 10, 12, -7, -8, -10, -12]
+
+
+class TestHighAngularMomentum:
+    @pytest.mark.parametrize("ell", HIGH_ELL)
+    @pytest.mark.parametrize("which", ["b_dagger", "b", "a_dagger"])
+    def test_ladder_coefficient(self, which, ell):
+        n = max(0, -ell) + 1  # k = n + ell >= 1, so b has a target
+        want = {"b_dagger": math.sqrt(n + ell + 1), "b": math.sqrt(n + ell), "a_dagger": math.sqrt(n + 1)}[which]
+        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("ell", HIGH_ELL)
+    def test_angular_momentum(self, ell):
+        assert angular_momentum_action(QuantumNumbers(max(0, -ell), ell), PARAMS) == pytest.approx(ell, abs=1e-4)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, landau_tfd, landau_tfd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,5 +1,7 @@
 """Sweep drivers, table serialization, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landau_tfd import (
     PhysicalParams,
@@ -23,6 +27,7 @@ from landau_tfd import (
     run_verify,
 )
 from landau_tfd.cli import main
+from landau_tfd.sweep import MODES
 
 
 def small_config(mode: str, **kw) -> SweepConfig:
@@ -176,6 +181,12 @@ class TestLloyd:
         table = run_lloyd(cfg)
         assert np.all(np.diff(table.column("bound")) < 0)
 
+    def test_long_period_terminates(self):
+        # period ~3e300: a golden-section bracket stalls at a few ulps, far above the absolute tolerance
+        argv = ["--mode", "lloyd", "--omega", "1e-300", "--omega-ref", "1e-299", "--hbar", "1e300", "--range", "1:10:3"]
+        proc = subprocess.run([sys.executable, "-m", "landau_tfd.cli", *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 5
+
 
 class TestSerialization:
     def test_csv_shape(self):
@@ -287,6 +298,13 @@ class TestCli:
             ["--mode", "beta-sweep", "--range=-1:1:3"],
             ["--mode", "omega-sweep", "--beta", "0"],
             ["--mode", "time-series", "--omega", "1e-320"],
+            ["--mode", "time-series", "--omega", "1", "--beta", "1e-310", "--samples", "2"],
+            ["--mode", "time-series", "--omega", "1e-310", "--omega-ref", "1e-310"],
+            ["--mode", "time-series", "--omega", "1e-310", "--omega-ref", "1e-310", "--beta", "inf"],
+            ["--mode", "time-series", "--beta", "1", "--beta", "1e-310", "--omega", "1"],
+            ["--mode", "lloyd", "--hbar", "1e-300", "--omega", "1e-300"],
+            ["--mode", "verify", "--hbar", "1e-300", "--omega", "1e-300"],
+            ["--mode", "time-series", "--omega", "1e-305", "--beta", "inf"],
         ],
         ids=[
             "fock-dim-200",
@@ -299,6 +317,13 @@ class TestCli:
             "range-negative",
             "omega-sweep-beta-0",
             "omega-ratio-overflow",
+            "beta-hbar-omega-subnormal",
+            "omega-1e-310",
+            "period-overflow",
+            "second-beta-subnormal",
+            "lloyd-grid-subnormal",
+            "verify-hbar-omega-underflow",
+            "omega-ratio-beyond-e700",
         ],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
@@ -319,3 +344,42 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "complexity[beta=2]" in proc.stdout
+
+
+# a float option's text: an ordinary value, an extreme, subnormal or non-finite one, or any double
+_NUMBER = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.sampled_from(["0", "-1", "1e-17", "1e-300", "1e-310", "1e300", "inf", "-inf", "nan", "x"]),
+    st.floats().map(repr),
+)
+_OPTIONS = {
+    "--omega": _NUMBER,
+    "--omega-ref": _NUMBER,
+    "--hbar": _NUMBER,
+    "--mass": _NUMBER,
+    "--samples": st.integers(-3, 64).map(str),
+    "--fock-dim": st.integers(-1, 64).map(str),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--range": st.tuples(_NUMBER, _NUMBER, st.integers(-1, 64), st.sampled_from(["", ":log", ":lin"])).map(
+        lambda r: f"{r[0]}:{r[1]}:{r[2]}{r[3]}"
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--mode", draw(st.sampled_from([*MODES, "banana"]))]
+    for opt in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), unique=True, max_size=4)):
+        argv.append(f"{opt}={draw(_OPTIONS[opt])}")
+    argv += [f"--beta={b}" for b in draw(st.lists(_NUMBER, max_size=3))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=_argv())
+@example(argv=["--mode", "verify", "--hbar", "1e-300", "--omega", "1e-300"])
+def test_cli_never_raises(argv):
+    """Any argv returns a documented exit code and raises nothing; every count drawn is <= 64, so runs stay small."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
