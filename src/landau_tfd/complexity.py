@@ -145,7 +145,9 @@ class LloydResult:
 
 
 def _bho(params: PhysicalParams) -> float:
-    return params.beta * params.hbar * params.omega
+    # an overflow to inf is the valid zero-temperature limit
+    with np.errstate(over="ignore"):
+        return params.beta * params.hbar * params.omega
 
 
 def _squeezing(x: float) -> tuple:

@@ -7,10 +7,10 @@ output can be reproduced from its own header.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
 MODES = ("time-series", "beta-sweep", "omega-sweep", "lloyd", "verify")
 # the swept field of each grid mode and the size of its default grid
 _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("beta", 25)}
+# rows serialised per pass: the table is never held whole as Python floats
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -131,41 +133,59 @@ class SweepTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[[c[0] for c in self.columns].index(name)]
 
-    def _rows(self):
-        return zip(*(v.tolist() for v in self.values))
+    def _body(self, json_: bool) -> list:
+        """The rows as text pieces, _CHUNK rows per piece: CSV lines, or the rows of json.dumps(indent=2)."""
+        n = min(map(len, self.values), default=0)
+        if n == 0:
+            return []
+        cols = [np.ascontiguousarray(v[:n]) for v in self.values]
+        cell_sep, row_open, row_sep, row_close = (
+            (",\n      ", "\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ") if json_ else (",", "", "\n", "\n")
+        )
+        parts = [row_open]
+        for i in range(0, n, _CHUNK):
+            cells = [_cells(v[i : i + _CHUNK], json_) for v in cols]
+            parts += [row_sep.join(map(cell_sep.join, zip(*cells))), row_sep]
+        parts[-1] = row_close
+        return parts
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        for key, value in self.metadata.items():
-            buf.write(f"# {key}={_fmt_meta(value)}\n")
-        buf.write(",".join(f"{name} ({unit})" for name, unit in self.columns) + "\n")
-        # bools print as 0/1, everything else at full precision
-        row = ",".join("{:d}" if v.dtype == bool else "{:.17g}" for v in self.values) + "\n"
-        buf.writelines(row.format(*r) for r in self._rows())
-        return buf.getvalue()
+        head = [f"# {key}={_fmt_meta(value)}\n" for key, value in self.metadata.items()]
+        head.append(",".join(f"{name} ({unit})" for name, unit in self.columns) + "\n")
+        return "".join(head + self._body(json_=False))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "columns": [{"name": n, "unit": u} for n, u in self.columns],
-                "rows": [[_json_val(v) for v in r] for r in self._rows()],
-                "metadata": self.metadata,
-            },
-            indent=2,
-        )
+        # json renders the small columns and metadata blocks around an empty rows list; every line of the
+        # columns block above it is indented deeper, so the first two-space match is the rows key
+        doc = {"columns": [{"name": n, "unit": u} for n, u in self.columns], "rows": [], "metadata": self.metadata}
+        head, _, tail = json.dumps(doc, indent=2).partition('\n  "rows": []')
+        return "".join([head, '\n  "rows": [', *self._body(json_=True), "]", tail])
+
+
+def _cells(v: np.ndarray, json_: bool) -> list:
+    """Cell strings of one column chunk; a chunk of bitwise-identical values is formatted once.
+
+    Bits, not ==, decide identity, so -0.0 and 0.0 keep their own text.
+    """
+    bits = v.view(np.uint8).reshape(len(v), -1)
+    if len(v) > 1 and (bits == bits[0]).all():
+        return _cells(v[:1], json_) * len(v)
+    if v.dtype == bool:
+        # bools print as 0/1 in CSV
+        return list(map(("false", "true").__getitem__ if json_ else "%d".__mod__, v.tolist()))
+    if not json_:
+        return list(map("%.17g".__mod__, v.tolist()))
+    cells = list(map(repr, v.tolist()))
+    # JSON has no Infinity literal; keep output loadable everywhere
+    for i in np.flatnonzero(~np.isfinite(v)):
+        cells[i] = '"inf"' if np.isinf(v[i]) else "NaN"
+    return cells
 
 
 def _fmt_meta(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def _json_val(v):
-    # JSON has no Infinity literal; keep output loadable everywhere
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
 
 
 def _beta_label(beta: float) -> str:
@@ -249,7 +269,18 @@ def finite_difference_rate(t, params: PhysicalParams, step: float | None = None)
 
 
 def run_verify(config: SweepConfig) -> fock.OracleReport:
-    """Aggregate every closed-form-vs-oracle check into one report."""
+    """Aggregate every closed-form-vs-oracle check into one report.
+
+    Each distinct warning the checks raise goes into report.warnings once.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = _verify_checks(config)
+    report.warnings += dict.fromkeys(str(w.message) for w in caught)
+    return report
+
+
+def _verify_checks(config: SweepConfig) -> fock.OracleReport:
     p = config.params
     report = fock.OracleReport()
 
@@ -283,14 +314,17 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
     # commutators on the truncated space
     report.checks += fock.commutator_report(config.fock_dim).checks
 
-    # covariance blocks: brute force vs closed form
+    # covariance blocks: brute force vs closed form, compared in the dimensionless form
+    # S G S = G * scale with S = diag(sqrt(m omega), 1/sqrt(m omega)); G already carries its 1/hbar
     dev = 0.0
+    mw = p.mass * p.omega
+    scale = np.array([[mw, 1.0], [1.0, 1.0 / mw]])
     for bho in (1.0, 2.0, 4.0):
         pb = p.with_(beta=bho / (p.hbar * p.omega))
         for t in np.linspace(0.0, p.period, 9):
             g_p, g_m = fock.oracle_covariance_1pm(t, pb, config.fock_dim)
             closed = covariance_g(t, pb)
-            dev = max(dev, np.max(np.abs(g_p - closed.block_1p)), np.max(np.abs(g_m - closed.block_1m)))
+            dev = max(dev, np.max(np.abs(g_p - closed.block_1p) * scale), np.max(np.abs(g_m - closed.block_1m) * scale))
     report.add("covariance oracle vs closed form", dev, 1e-8)
 
     # analytic rate vs finite differences

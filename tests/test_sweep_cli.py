@@ -1,7 +1,9 @@
 """Sweep drivers, table serialization, and the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -18,6 +20,7 @@ from landau_tfd import (
     SweepRange,
     complexity,
     complexity_rate,
+    covariance_g,
     high_T_rate_limit,
     oscillation_amplitude,
     run_beta_sweep,
@@ -26,8 +29,9 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
+from landau_tfd import sweep
 from landau_tfd.cli import main
-from landau_tfd.sweep import MODES
+from landau_tfd.sweep import _CHUNK, MODES, SweepTable
 
 
 def small_config(mode: str, **kw) -> SweepConfig:
@@ -219,6 +223,90 @@ class TestSerialization:
         assert [c["name"] for c in doc["columns"]] == [c[0] for c in table.columns]
 
 
+def reference_csv(table: SweepTable) -> str:
+    """The row-at-a-time CSV writer the chunked one replaced."""
+    buf = io.StringIO()
+    for key, value in table.metadata.items():
+        buf.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n")
+    buf.write(",".join(f"{name} ({unit})" for name, unit in table.columns) + "\n")
+    row = ",".join("{:d}" if v.dtype == bool else "{:.17g}" for v in table.values) + "\n"
+    buf.writelines(row.format(*r) for r in zip(*(v.tolist() for v in table.values)))
+    return buf.getvalue()
+
+
+def reference_json(table: SweepTable) -> str:
+    """The json.dumps writer the chunked one replaced; every infinity is the string "inf"."""
+    val = lambda v: "inf" if isinstance(v, float) and math.isinf(v) else v
+    rows = [[val(v) for v in r] for r in zip(*(v.tolist() for v in table.values))]
+    doc = {"columns": [{"name": n, "unit": u} for n, u in table.columns], "rows": rows, "metadata": table.metadata}
+    return json.dumps(doc, indent=2)
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first lines that differ; pytest's own diff of megabytes of text is too slow."""
+    if got == want:
+        return None
+    lines = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next((a, b) for a, b in lines if a != b)
+
+
+def feature_table(n: int) -> SweepTable:
+    """n rows with a bool column, +-inf and NaN cells, and constant columns of 0.0, -0.0 and inf."""
+    x = np.random.default_rng(n).normal(size=n) * 10.0 ** (np.arange(n) % 601 - 300)
+    x[1::7], x[2::11], x[3::13] = math.inf, -math.inf, math.nan
+    zeros = np.zeros(n)
+    zeros[n // 2 :] = -0.0  # 0.0, then -0.0
+    return SweepTable(
+        columns=[("x", "time"), ("positive", "bool"), ("zero", "1"), ("neg_zero", "1"), ("inf", "1"), ("half", "1")],
+        values=[x, x > 0, zeros, np.full(n, -0.0), np.full(n, math.inf), np.full(n, 0.5)],
+        metadata={"config": json.dumps({"mode": "x"}), "scale": 0.1, "count": n},
+    )
+
+
+class TestChunkedSerialization:
+    """to_csv and to_json give the bytes of the row-at-a-time writers, at and around the chunk size."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_byte_identical_to_reference(self, n):
+        table = feature_table(n)
+        assert first_difference(table.to_csv(), reference_csv(table)) is None
+        assert first_difference(table.to_json(), reference_json(table)) is None
+
+    def test_constant_chunk_keeps_signed_zero(self):
+        # chunks of 0.0, of both zeros and of -0.0, which all compare equal to 0.0
+        zero = np.zeros(3 * _CHUNK)
+        zero[3 * _CHUNK // 2 :] = -0.0
+        table = SweepTable(columns=[("zero", "1")], values=[zero])
+        sign = np.copysign(1.0, zero).tolist()
+        assert table.to_csv().splitlines()[1:] == ["-0" if s < 0 else "0" for s in sign]
+        assert [math.copysign(1.0, r[0]) for r in json.loads(table.to_json())["rows"]] == sign
+
+    def test_sweep_tables_byte_identical_to_reference(self):
+        tables = [
+            run_time_series(small_config("time-series", betas=(math.inf, 2.0, 0.0), samples_per_period=_CHUNK)),
+            run_beta_sweep(small_config("beta-sweep", range_=SweepRange(1e-6, 1e3, _CHUNK + 3, log=True))),
+            run_lloyd(small_config("lloyd", range_=SweepRange(0.05, 50.0, 9, log=True))),
+        ]
+        for table in tables:
+            assert first_difference(table.to_csv(), reference_csv(table)) is None
+            assert first_difference(table.to_json(), reference_json(table)) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "time-series", "--omega", "0.5", "--beta", "inf", "--beta", "2", "--beta", "0", "--samples", "16"],
+            ["--mode", "beta-sweep", "--range", "0.1:10:9:log", "--format", "json"],
+        ],
+        ids=["csv", "json"],
+    )
+    def test_stdout_and_out_file_agree(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "table"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == stdout.encode()
+
+
 class TestVerify:
     def test_report_passes(self):
         report = run_verify(small_config("verify", fock_dim=60))
@@ -227,6 +315,34 @@ class TestVerify:
         doc = json.loads(report.to_json())
         assert doc["passed"] is True
         assert len(doc["checks"]) >= 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mass", "1e-9"], ["--omega", "1e17", "--omega-ref", "1e17"], ["--hbar", "1e-9"]],
+        ids=["mass-1e-9", "omega-1e17", "hbar-1e-9"],
+    )
+    def test_covariance_check_is_scale_free(self, argv, capsys):
+        assert main(["--mode", "verify", *argv]) == 0
+        check = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["covariance oracle vs closed form"]
+        assert check["max_deviation"] < 1e-12
+
+    def test_covariance_check_catches_relative_error(self, monkeypatch):
+        def perturbed(t, params):
+            g = covariance_g(t, params)
+            return dataclasses.replace(g, block_1m=g.block_1m * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]))
+
+        monkeypatch.setattr(sweep, "covariance_g", perturbed)
+        report = run_verify(small_config("verify", params=PhysicalParams(mass=1e-9, omega=0.5, beta=2.0), fock_dim=60))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["covariance oracle vs closed form"]
+
+    def test_truncation_warnings_reach_the_report(self, capsys):
+        assert main(["--mode", "verify", "--fock-dim", "8"]) == 2
+        captured = capsys.readouterr()
+        found = json.loads(captured.out)["warnings"]
+        assert any("truncation norm deficit" in w for w in found)
+        assert len(found) == len(set(found))
+        assert captured.err == ""
 
 
 class TestCli:
@@ -334,6 +450,11 @@ class TestCli:
 
     def test_zero_temperature_is_silent(self, capsys):
         assert main(["--mode", "time-series", "--omega", "1", "--beta", "inf", "--samples", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_beta_hbar_omega_is_silent(self, capsys):
+        # beta*hbar overflows to inf, the zero-temperature limit
+        assert main(["--mode", "beta-sweep", "--hbar", "1e300", "--range", "1:1e10:3"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_console_script_installed(self):
