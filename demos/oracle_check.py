@@ -23,15 +23,23 @@ from landau_tfd import (
 p = PhysicalParams(omega=0.5, omega_ref=1.0, beta=2.0)
 t = 0.25 * p.period
 
-# the oracle builds 60x60 ladder matrices, applies the quadrature
-# operators to the two-mode squeezed state, and contracts
+# the oracle builds 60x60 ladder matrices and contracts each covariance
+# entry as a quadratic form in the two-mode squeezed state's amplitudes
 g_plus, g_minus = oracle_covariance_1pm(t, p, dim=60)
-closed = covariance_g(t, p)
+closed_plus, closed_minus, _ = covariance_g(t, p)
 
 print("quarter-period covariance block (oracle vs closed form):")
 print("  oracle:\n", np.array2string(g_plus, precision=12, prefix="   "))
-print("  closed:\n", np.array2string(closed.block_1p, precision=12, prefix="   "))
-print(f"  max deviation: {np.max(np.abs(g_plus - closed.block_1p)):.2e}")
+print("  closed:\n", np.array2string(closed_plus, precision=12, prefix="   "))
+print(f"  max deviation: {np.max(np.abs(g_plus - closed_plus)):.2e}")
+
+# both take arrays: one call covers a whole period at three temperatures
+ts = np.linspace(0.0, p.period, 9)[:, None]
+grid = p.with_(beta=np.array([1.0, 2.0, 4.0]) / (p.hbar * p.omega))
+oracle = oracle_covariance_1pm(ts, grid, dim=60)
+closed = covariance_g(ts, grid)[:2]
+print(f"\n9 t x 3 beta grid, blocks of shape {oracle[0].shape}:")
+print(f"  max deviation: {max(np.max(np.abs(g - c)) for g, c in zip(oracle, closed)):.2e}")
 
 # the full report also covers Laguerre orthogonality, wavefunction
 # Gram matrices, ladder coefficients, commutators, and the rate

@@ -2,11 +2,8 @@
 
 from .complexity import (
     LN6,
-    CovarianceMatrix,
     LloydResult,
     PhysicalParams,
-    RelativeSpectrum,
-    TfdParams,
     alpha_of,
     asymptotic_amplitude,
     asymptotic_complexity,

@@ -24,9 +24,6 @@ _MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
 __all__ = [
     "LN6",
     "PhysicalParams",
-    "TfdParams",
-    "CovarianceMatrix",
-    "RelativeSpectrum",
     "LloydResult",
     "alpha_of",
     "partition_function",
@@ -85,55 +82,12 @@ class PhysicalParams:
         _require(np.abs(u) <= 700.0, "ln(omega_ref/omega) must lie within [-700, 700]", u)
 
     @property
-    def zero_temperature(self) -> bool:
-        return np.isinf(self.beta)
-
-    @property
     def period(self) -> float:
         """Period of the complexity oscillations, pi/omega."""
         return math.pi / self.omega
 
     def with_(self, **kw) -> "PhysicalParams":
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class TfdParams:
-    """Squeezing parameter of the TFD a-sector, tanh(alpha) = e^{-beta hbar omega/2}."""
-
-    alpha: float
-    cosh2a: float
-    sinh2a: float
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Block-diagonal 8x8 covariance matrix, stored as its 2x2 blocks.
-
-    The b-sector block appears twice in the full matrix.
-    """
-
-    block_1p: np.ndarray
-    block_1m: np.ndarray
-    block_2: np.ndarray
-    time: float
-
-    def full(self) -> np.ndarray:
-        """Assemble the 8x8 matrix."""
-        out = np.zeros((8, 8))
-        for i, blk in enumerate((self.block_1p, self.block_1m, self.block_2, self.block_2)):
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
-        return out
-
-
-@dataclass(frozen=True)
-class RelativeSpectrum:
-    """Eigenvalues e1..e8 of the relative covariance matrix at one instant."""
-
-    a_plus: float
-    a_minus: float
-    e: tuple
-    time: float
 
 
 @dataclass(frozen=True)
@@ -160,45 +114,48 @@ def _squeezing(x: float) -> tuple:
     return np.log1p(q / -np.expm1(-x)), q / -np.expm1(-2.0 * x)
 
 
-def alpha_of(params: PhysicalParams) -> TfdParams:
-    """Squeezing parameter and its hyperbolic doubles.
+def alpha_of(params: PhysicalParams) -> tuple:
+    """Squeezing parameter alpha and its hyperbolic doubles, (alpha, cosh 2a, sinh 2a).
 
-    With x = beta hbar omega / 2: sinh 2a = 1/sinh x and cosh 2a = coth x.
+    With x = beta hbar omega / 2: tanh a = e^{-x}, sinh 2a = 1/sinh x and
+    cosh 2a = coth x.  beta and omega in params may be arrays.
     """
     x = 0.5 * _bho(params)
     two_a, sinh2a = _squeezing(x)
-    return TfdParams(alpha=0.5 * two_a, cosh2a=1.0 / np.tanh(x), sinh2a=sinh2a)
+    return 0.5 * two_a, 1.0 / np.tanh(x), sinh2a
 
 
-def partition_function(params: PhysicalParams) -> float:
-    """Thermal partition function, 1/(4 sinh(beta hbar omega / 2)).
-
-    At beta = inf the limiting value 0 is returned with a warning.
-    """
-    if params.zero_temperature:
-        warnings.warn("partition function at beta=inf is the limiting value 0", RuntimeWarning)
-        return 0.0
+def partition_function(params: PhysicalParams):
+    """Thermal partition function, 1/(4 sinh(beta hbar omega / 2)); exactly 0 at beta = inf."""
     return 0.25 * _squeezing(0.5 * _bho(params))[1]
 
 
-def internal_energy(params: PhysicalParams) -> float:
+def internal_energy(params: PhysicalParams):
     """Internal energy U = (hbar omega / 2) coth(beta hbar omega / 2)."""
     return 0.5 * params.hbar * params.omega / np.tanh(0.5 * _bho(params))
 
 
-def covariance_g(t: float, params: PhysicalParams) -> CovarianceMatrix:
-    """Covariance matrix of the time-evolved TFD state."""
-    tfd = alpha_of(params)
+def _block(xx, xp, pp):
+    """The 2x2 blocks [[xx, xp], [xp, pp]] on the last two axes of the broadcast entries."""
+    xx, xp, pp = np.broadcast_arrays(xx, xp, pp)
+    return np.stack([np.stack([xx, xp], -1), np.stack([xp, pp], -1)], -2)
+
+
+def covariance_g(t, params: PhysicalParams) -> tuple:
+    """Covariance matrix of the time-evolved TFD state as its blocks (g_1p, g_1m, g_2).
+
+    The 8x8 matrix is block-diagonal in (x, p) pairs: the two a-sector
+    blocks of the +- quadratures, and the b-sector block, which appears
+    twice.  t, beta and omega broadcast; each block has shape (..., 2, 2)
+    over their broadcast shape.
+    """
+    _, cosh2a, sinh2a = alpha_of(params)
     mw = params.mass * params.omega
-    c, s = math.cos(params.omega * t), math.sin(params.omega * t)
-    blocks = []
-    for sign in (+1.0, -1.0):
-        diag_x = (tfd.cosh2a + sign * tfd.sinh2a * c) / mw
-        diag_p = mw * (tfd.cosh2a - sign * tfd.sinh2a * c)
-        off = -sign * tfd.sinh2a * s
-        blocks.append(np.array([[diag_x, off], [off, diag_p]]))
-    block_2 = np.array([[1.0 / (6.0 * mw), 0.0], [0.0, mw / 6.0]])
-    return CovarianceMatrix(block_1p=blocks[0], block_1m=blocks[1], block_2=block_2, time=t)
+    wt = params.omega * t
+    c, s = sinh2a * np.cos(wt), sinh2a * np.sin(wt)
+    g_1p = _block((cosh2a + c) / mw, -s, mw * (cosh2a - c))
+    g_1m = _block((cosh2a - c) / mw, s, mw * (cosh2a + c))
+    return g_1p, g_1m, _block(1.0 / (6.0 * mw), np.zeros_like(c), mw / 6.0)
 
 
 def _uhs(params: PhysicalParams) -> tuple:
@@ -233,26 +190,23 @@ def _kernel(t, params: PhysicalParams) -> tuple:
     return _norm(u, a_c, a_s), s, r_c, r_s, a_c, a_s
 
 
-def relative_spectrum(t: float, params: PhysicalParams) -> RelativeSpectrum:
-    """Eigenvalues of the relative covariance matrix G(t) G_R^{-1}.
+def relative_spectrum(t, params: PhysicalParams) -> tuple:
+    """Spectrum of the relative covariance matrix G(t) G_R^{-1} as (a, e).
 
-    Each time-dependent pair is exp(+-theta) with e^theta = (r + sqrt(1 + r^2))^2
-    (see ``_kernel``); the small member is the exact reciprocal of the large one.
-    A_+ is the pair whose A grows with cos(omega t) when omega < omega_ref.
+    a holds (A_+, A_-) on a last axis of 2 and e the eigenvalues e1..e8 on
+    a last axis of 8.  Each time-dependent pair is exp(+-theta) with
+    e^theta = (r + sqrt(1 + r^2))^2 (see ``_kernel``); the small member is
+    the exact reciprocal of the large one.  A_+ is the pair whose A grows
+    with cos(omega t) when omega < omega_ref.  t, beta and omega broadcast.
     """
     _, _, r_c, r_s, _, _ = _kernel(t, params)
     w, wr = params.omega, params.omega_ref
-    r_p, r_m = (r_c, r_s) if w <= wr else (r_s, r_c)
-    g_p, g_m = r_p + math.hypot(1.0, r_p), r_m + math.hypot(1.0, r_m)
-    e2, e4 = g_p * g_p, g_m * g_m
-    e5 = wr / (6.0 * w)
-    e6 = w / (6.0 * wr)
-    return RelativeSpectrum(
-        a_plus=1.0 + 2.0 * r_p * r_p,
-        a_minus=1.0 + 2.0 * r_m * r_m,
-        e=(1.0 / e2, e2, 1.0 / e4, e4, e5, e6, e5, e6),
-        time=t,
-    )
+    r = np.stack(np.where(w <= wr, (r_c, r_s), (r_s, r_c)), -1)
+    g = r + np.hypot(1.0, r)
+    e_big = g * g
+    e5, e6 = np.broadcast_to(wr / (6.0 * w), r.shape[:-1]), np.broadcast_to(w / (6.0 * wr), r.shape[:-1])
+    e = np.stack([1.0 / e_big[..., 0], e_big[..., 0], 1.0 / e_big[..., 1], e_big[..., 1], e5, e6, e5, e6], -1)
+    return 1.0 + 2.0 * r * r, e
 
 
 def complexity(t, params: PhysicalParams):
@@ -306,17 +260,16 @@ def complexity_rate(t, params: PhysicalParams):
     return np.where(sinh_theta == 0.0, 0.0, rate) + 0.0
 
 
-def high_T_rate_limit(t, omega, omega_ref):
-    """Infinite-temperature limit of the complexity rate.
+def high_T_rate_limit(t, params: PhysicalParams):
+    """Infinite-temperature limit of the complexity rate; beta in params plays no part.
 
     omega tanh^2 u sin(2 omega t) / (2 (1 - tanh^2 u cos^2 omega t)) with
     u = ln(omega_ref/omega), evaluated as omega y v / (1 + y^2) with
     y = sinh u sin(omega t) and v = sinh u cos(omega t), which neither
-    cancels nor divides 0 by 0 at large |u|.  t, omega and omega_ref broadcast.
+    cancels nor divides 0 by 0 at large |u|.  t and omega broadcast.
     """
-    if np.any(omega <= 0.0) or np.any(omega_ref <= 0.0):
-        raise ValueError("frequencies must be positive")
-    sinh_u = np.sinh(np.log(omega_ref) - np.log(omega))
+    omega = params.omega
+    sinh_u = np.sinh(np.log(params.omega_ref) - np.log(omega))
     y = sinh_u * np.sin(omega * t)
     g = np.hypot(1.0, y)
     return omega * (y / g) * (sinh_u * np.cos(omega * t) / g)
@@ -364,74 +317,78 @@ def oscillation_amplitude(params: PhysicalParams):
     return np.where(half_s2 > 0.0, amp, 0.0)[()]
 
 
-def _warn_regime(condition: bool, regime: str, detail: str) -> None:
-    if not condition:
+def _warn_regime(condition, regime: str, detail: str) -> None:
+    if not np.all(condition):
         warnings.warn(f"parameters outside the {regime} regime ({detail})", RuntimeWarning)
 
 
-def _log_ratio_factor(u: float) -> float:
+def _log_ratio_factor(u):
     """u coth u, with its limit 1 at u = 0."""
-    return u / math.tanh(u) if u else 1.0
+    with np.errstate(invalid="ignore"):
+        return np.where(u == 0.0, 1.0, u / np.tanh(u))
 
 
-def asymptotic_complexity(regime: str, t: float, params: PhysicalParams) -> float:
+def asymptotic_complexity(regime: str, t, params: PhysicalParams):
     """Closed-form asymptotic expansions of the complexity.
 
     Regimes: low_T, high_T, equal_freq_low_T, equal_freq_high_T,
-    high_freq, low_freq.  A regime mismatch warns but still evaluates.
+    high_freq, low_freq.  A regime mismatch at any point warns but still
+    evaluates.  t, beta and omega broadcast like ``complexity``.
     """
     w, wr = params.omega, params.omega_ref
     bho = _bho(params)
-    u = math.log(wr) - math.log(w)
+    u = np.log(wr) - np.log(w)
+    c, s = np.cos(w * t), np.sin(w * t)
     if regime == "low_T":
         _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
-        base = math.sqrt(LN6 * LN6 + 2.0 * u * u)
-        c, s = math.cos(w * t), math.sin(w * t)
-        return base + (2.0 * math.exp(-bho) / base) * (c * c + _log_ratio_factor(u) * s * s)
-    if regime == "high_T":
+        base = np.sqrt(LN6 * LN6 + 2.0 * u * u)
+        out = base + (2.0 * np.exp(-bho) / base) * (c * c + _log_ratio_factor(u) * s * s)
+    elif regime == "high_T":
         _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
         # ln 4 + (1/2) log1p(y^2) with y = sinh u sin(omega t), as ln 4 + ln hypot(1, y)
-        return -math.log(bho) + math.log(4.0 * math.hypot(1.0, math.sinh(u) * math.sin(w * t)))
-    if regime == "equal_freq_low_T":
-        _warn_regime(bho > 1.0 and w == wr, regime, "needs omega_ref=omega, beta*hbar*omega >> 1")
-        return LN6 + 2.0 * math.exp(-bho) / LN6
-    if regime == "equal_freq_high_T":
-        _warn_regime(bho < 1.0 and w == wr, regime, "needs omega_ref=omega, beta*hbar*omega << 1")
-        lead = math.log(4.0 / bho)
-        return lead + LN6 * LN6 / (2.0 * lead)
-    if regime == "high_freq":
+        out = -np.log(bho) + np.log(4.0 * np.hypot(1.0, np.sinh(u) * s))
+    elif regime == "equal_freq_low_T":
+        _warn_regime((bho > 1.0) & (w == wr), regime, "needs omega_ref=omega, beta*hbar*omega >> 1")
+        out = LN6 + 2.0 * np.exp(-bho) / LN6
+    elif regime == "equal_freq_high_T":
+        _warn_regime((bho < 1.0) & (w == wr), regime, "needs omega_ref=omega, beta*hbar*omega << 1")
+        lead = np.log(4.0 / bho)
+        out = lead + LN6 * LN6 / (2.0 * lead)
+    elif regime == "high_freq":
         delta = w / wr
-        _warn_regime(delta > 1.0 and bho > 1.0, regime, "needs omega/omega_ref >> 1 at low T")
-        ld = math.log(delta)
-        return math.sqrt(2.0) * ld + LN6 * LN6 / (2.0 * math.sqrt(2.0) * ld)
-    if regime == "low_freq":
+        _warn_regime((delta > 1.0) & (bho > 1.0), regime, "needs omega/omega_ref >> 1 at low T")
+        ld = np.log(delta)
+        out = math.sqrt(2.0) * ld + LN6 * LN6 / (2.0 * math.sqrt(2.0) * ld)
+    elif regime == "low_freq":
         delta = w / wr
-        _warn_regime(delta < 1.0 and bho < 1.0, regime, "needs omega/omega_ref << 1 at high T")
-        c, s = math.cos(w * t), math.sin(w * t)
-        inner = math.sqrt(s * s + 2.0 * delta * delta * (1.0 + c * c))
-        return math.log(1.0 / (params.beta * params.hbar * delta * wr)) + math.log(2.0 * inner / delta)
-    raise ValueError(f"unknown regime {regime!r}")
+        _warn_regime((delta < 1.0) & (bho < 1.0), regime, "needs omega/omega_ref << 1 at high T")
+        inner = np.sqrt(s * s + 2.0 * delta * delta * (1.0 + c * c))
+        out = -np.log(bho) + np.log(2.0 * inner / delta)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    # a regime free of t or beta still has the broadcast shape of t, beta and omega
+    return out * np.ones(np.broadcast(c, bho, u).shape)
 
 
-def asymptotic_amplitude(regime: str, params: PhysicalParams) -> float:
+def asymptotic_amplitude(regime: str, params: PhysicalParams):
     """Asymptotic expansions of the oscillation amplitude.
 
-    Regimes: low_T, high_T, high_freq.
+    Regimes: low_T, high_T, high_freq.  beta and omega in params may be arrays.
     """
     w, wr = params.omega, params.omega_ref
     bho = _bho(params)
-    u = math.log(wr) - math.log(w)
+    u = np.log(wr) - np.log(w)
     if regime == "low_T":
         _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
-        base = math.sqrt(LN6 * LN6 + 2.0 * u * u)
-        return (2.0 * math.exp(-bho) / base) * (_log_ratio_factor(u) - 1.0)
+        base = np.sqrt(LN6 * LN6 + 2.0 * u * u)
+        return (2.0 * np.exp(-bho) / base) * (_log_ratio_factor(u) - 1.0)
     if regime == "high_T":
         _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
-        return math.log(math.cosh(u)) + u * u / (2.0 * math.log(bho))
+        return np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho))
     if regime == "high_freq":
         delta = w / wr
         _warn_regime(delta > 1.0, regime, "needs omega/omega_ref >> 1")
-        return math.sqrt(2.0) * math.exp(-params.beta * params.hbar * delta * wr) * (1.0 - 1.0 / math.log(delta))
+        return math.sqrt(2.0) * np.exp(-bho) * (1.0 - 1.0 / np.log(delta))
     raise ValueError(f"unknown regime {regime!r}")
 
 

@@ -83,26 +83,30 @@ def ladder_matrix(kind: str, dim: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(dim: int, params: PhysicalParams) -> np.ndarray:
-    """hbar*omega*(a^dag a + 1/2), assembled from the ladder matrices."""
+    """hbar*omega*(a^dag a + 1/2), assembled from the ladder matrices; shape (..., dim, dim) over omega."""
     _check_dim(dim)
     a = ladder_matrix("a", dim)
-    return params.hbar * params.omega * (a.T @ a + 0.5 * np.eye(dim))
+    return np.multiply.outer(params.hbar * params.omega, a.T @ a + 0.5 * np.eye(dim))
 
 
-def tfd_a_sector_state(t: float, params: PhysicalParams, dim: int) -> tuple:
+def tfd_a_sector_state(t, params: PhysicalParams, dim: int) -> tuple:
     """The a-sector of the time-evolved TFD state, normalized on its own.
 
     The state is diagonal in the two-mode basis, sum_n c_n |n>_L |n>_R, with
 
         c_n = sqrt(1 - e^{-beta hbar omega}) e^{-beta hbar omega n / 2} e^{-i omega t (n + 1/2)};
 
-    returns the length-dim vector c and the norm the truncation drops.
+    returns c, with n on a last axis of length dim, and the norm the
+    truncation drops.  t and beta broadcast: c has shape (..., dim) over
+    their broadcast shape, and the norm deficit the shape of beta.
     """
     _check_dim(dim)
     # PhysicalParams keeps beta*hbar*omega positive; q = 0 at beta = inf, where c is the vacuum (1, 0, 0, ...)
-    q = math.exp(-params.beta * params.hbar * params.omega)
+    with np.errstate(over="ignore"):
+        q = np.exp(-params.beta * params.hbar * params.omega)
     n = np.arange(dim)
-    return math.sqrt(1.0 - q) * q ** (n / 2.0) * np.exp(-1j * params.omega * t * (n + 0.5)), q**dim
+    q_n, t_n = np.expand_dims(q, -1), np.expand_dims(t, -1)
+    return np.sqrt(1.0 - q_n) * q_n ** (n / 2.0) * np.exp(-1j * params.omega * t_n * (n + 0.5)), q**dim
 
 
 def _quadratures(dim: int, params: PhysicalParams):
@@ -114,59 +118,93 @@ def _quadratures(dim: int, params: PhysicalParams):
     return x, p
 
 
-def oracle_covariance_1pm(t: float, params: PhysicalParams, dim: int = 60):
+def _quadratic_form(u: np.ndarray, v: np.ndarray, sign: float) -> np.ndarray:
+    """K with c^H K c = <(U x I + sign I x U) psi, (V x I + sign I x V) psi> / 2 on psi = sum_n c_n |n>|n>.
+
+    On the state matrix diag(c), (M x I) acts as M diag(c) and (I x M) as
+    diag(c) M^T; expanding the inner product gives
+    K = diag(sum_j conj(U_ja) V_ja) + sign conj(U)^T * V, elementwise.
+    """
+    k = sign * (u.conj().T * v)
+    k[np.diag_indices_from(k)] += np.sum(u.conj() * v, axis=0)
+    return k
+
+
+def oracle_covariance_1pm(t, params: PhysicalParams, dim: int = 60):
     """Brute-force covariance blocks of the +/- quadrature pairs.
 
     Expresses X_{1+-}, P_{1+-} through ladder matrices on the truncated
     two-mode space and takes symmetrized expectation values in the
-    a-sector TFD state; returns (G1_plus, G1_minus) as 2x2 real arrays.
-    On the state matrix diag(c), (M x I) acts as M diag(c) and (I x M)
-    as diag(c) M^T, so each quadrature is applied without a matrix product.
+    a-sector TFD state; returns (G1_plus, G1_minus), real arrays of shape
+    (..., 2, 2) over the broadcast shape of t and beta.  omega, mass and
+    hbar are scalars, since the quadrature matrices are built from them.
+    Each entry is a quadratic form c^H K c in the amplitudes (see
+    ``_quadratic_form``), so no state matrix is ever held, whatever the
+    number of points.
     """
     c, norm_deficit = tfd_a_sector_state(t, params, dim)
-    if norm_deficit > 1e-10:
+    deficits = np.ravel(norm_deficit)
+    # one warning per distinct beta whose truncation drops too much norm
+    for deficit in dict.fromkeys(deficits[deficits > 1e-10].tolist()):
         warnings.warn(
-            f"truncation norm deficit {norm_deficit:.3e} exceeds 1e-10; "
-            "increase dim or beta*hbar*omega",
+            f"truncation norm deficit {deficit:.3e} exceeds 1e-10; increase dim or beta*hbar*omega",
             RuntimeWarning,
         )
-    x, p = _quadratures(dim, params)
+    quad = _quadratures(dim, params)
+    c_h = c.conj()
     blocks = []
     for sign in (+1.0, -1.0):
-        # X_{1 sign} and P_{1 sign} = (M x I + sign I x M) / sqrt(2) applied to the state
-        applied = [(m * c[None, :] + sign * c[:, None] * m.T) / math.sqrt(2.0) for m in (x, p)]
-        blocks.append(2.0 * np.array([[np.vdot(u, v).real for v in applied] for u in applied]) / params.hbar)
+        entries = [[np.sum((c_h @ _quadratic_form(u, v, sign)) * c, axis=-1).real for v in quad] for u in quad]
+        blocks.append(2.0 * np.moveaxis(np.array(entries), (0, 1), (-2, -1)) / params.hbar)
     return blocks[0], blocks[1]
+
+
+def _two_mode(dim: int) -> tuple:
+    """a = a x I and b = I x a on the two-mode space, with |n, k> at index n*dim + k."""
+    a = ladder_matrix("a", dim)
+    return np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y - y x with one temporary: the two-mode products are N'^2 x N'^2."""
+    m = x @ y
+    m -= y @ x
+    return m
+
+
+def _deviation(m: np.ndarray, diagonal) -> float:
+    """max |m - diag(diagonal)|, computed in place on m."""
+    m[np.diag_indices_from(m)] -= diagonal
+    return np.max(np.abs(m))
 
 
 def commutator_report(dim: int) -> OracleReport:
     """Verify the ladder commutation relations on the truncated space.
 
-    [a, a^dag] = 1 and [b, b^dag] = 1 hold exactly on the interior
-    basis states (the last diagonal entry carries the truncation edge
-    artifact -(N-1)); [a, b] = 0 across the two tensor factors; and
-    L_z = -hbar(a^dag a - b^dag b) has eigenvalue hbar(k - n) on |n, k>.
+    [a, a^dag] = 1 holds exactly on the interior basis states (the last
+    diagonal entry carries the truncation edge artifact -(N-1)).  On the
+    two-mode space of N' = min(N, 16) levels per mode (it grows as N'^2):
+    [b, b^dag] = 1 on the states |n, k> with k < N' - 1; [a, b] = 0 across
+    the two tensor factors; and L_z = -hbar(a^dag a - b^dag b) applied to
+    each |n, k> gives hbar(k - n) |n, k>, with k - n read from the labels.
     """
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     report = OracleReport()
     a = ladder_matrix("a", dim)
     comm = a @ a.T - a.T @ a
-    interior = comm[: dim - 1, : dim - 1] - np.eye(dim - 1)
-    report.add("[a,a_dagger] interior", np.max(np.abs(interior)), 1e-12)
-    report.add("[b,b_dagger] interior", np.max(np.abs(interior)), 1e-12)
+    report.add("[a,a_dagger] interior", np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))), 1e-12)
+
+    dt = min(dim, 16)
+    a_l, b_r = _two_mode(dt)
+    n, k = np.divmod(np.arange(dt * dt), dt)
+    interior = k < dt - 1
+    report.add("[b,b_dagger] interior", _deviation(_commutator(b_r, b_r.T)[np.ix_(interior, interior)], 1.0), 1e-12)
     edge = comm[dim - 1, dim - 1] - (-(dim - 1))
     report.add("[a,a_dagger] truncation edge = -(N-1)", abs(edge), 1e-12)
-
-    # tensor-factor commutator on a reduced two-mode space (kron growth)
-    dt = min(dim, 16)
-    at = ladder_matrix("a", dt)
-    a_l = np.kron(at, np.eye(dt))
-    b_r = np.kron(np.eye(dt), at)
-    report.add("[a,b] two-mode", np.max(np.abs(a_l @ b_r - b_r @ a_l)), 1e-12)
-
-    num = np.diag(at.T @ at)
-    lz = -(num[:, None] - num[None, :])  # -(n - k) = k - n on |n, k>
-    expected = np.arange(dt)[None, :] - np.arange(dt)[:, None]
-    report.add("L_z eigenvalue k - n", np.max(np.abs(lz - expected)), 1e-12)
+    report.add("[a,b] two-mode", _deviation(_commutator(a_l, b_r), 0.0), 1e-12)
+    # column i of L_z / hbar is L_z / hbar applied to the basis state i = |n, k>
+    lz = b_r.T @ b_r
+    lz -= a_l.T @ a_l
+    report.add("L_z eigenvalue k - n", _deviation(lz, k - n), 1e-12)
     return report

@@ -213,7 +213,7 @@ def run_time_series(config: SweepConfig) -> SweepTable:
         columns.append((f"complexity[beta={_beta_label(beta)}]", "dimensionless"))
         columns.append((f"rate[beta={_beta_label(beta)}]", "1/time"))
         if beta == 0.0:
-            values += [np.full(len(ts), math.inf), high_T_rate_limit(ts, p.omega, p.omega_ref)]
+            values += [np.full(len(ts), math.inf), high_T_rate_limit(ts, p)]
         else:
             pb = p.with_(beta=beta)
             values += [complexity(ts, pb), complexity_rate(ts, pb)]
@@ -262,7 +262,7 @@ def run_lloyd(config: SweepConfig) -> SweepTable:
 
 
 def finite_difference_rate(t, params: PhysicalParams, step: float | None = None):
-    """4th-order central finite difference of the complexity in time; t may be an array."""
+    """4th-order central finite difference of the complexity in time; t, beta and omega may be arrays."""
     h = step if step is not None else 1e-5 * params.period
     f = lambda s: complexity(s, params)
     return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
@@ -314,26 +314,22 @@ def _verify_checks(config: SweepConfig) -> fock.OracleReport:
     # commutators on the truncated space
     report.checks += fock.commutator_report(config.fock_dim).checks
 
-    # covariance blocks: brute force vs closed form, compared in the dimensionless form
+    # covariance blocks: brute force vs closed form at 9 t x 3 beta, compared in the dimensionless form
     # S G S = G * scale with S = diag(sqrt(m omega), 1/sqrt(m omega)); G already carries its 1/hbar
-    dev = 0.0
     mw = p.mass * p.omega
     scale = np.array([[mw, 1.0], [1.0, 1.0 / mw]])
-    for bho in (1.0, 2.0, 4.0):
-        pb = p.with_(beta=bho / (p.hbar * p.omega))
-        for t in np.linspace(0.0, p.period, 9):
-            g_p, g_m = fock.oracle_covariance_1pm(t, pb, config.fock_dim)
-            closed = covariance_g(t, pb)
-            dev = max(dev, np.max(np.abs(g_p - closed.block_1p) * scale), np.max(np.abs(g_m - closed.block_1m) * scale))
+    pb = p.with_(beta=np.array([1.0, 2.0, 4.0]) / (p.hbar * p.omega))
+    ts = np.linspace(0.0, p.period, 9)[:, None]
+    g_p, g_m = fock.oracle_covariance_1pm(ts, pb, config.fock_dim)
+    closed_p, closed_m, _ = covariance_g(ts, pb)
+    dev = max(np.max(np.abs(g_p - closed_p) * scale), np.max(np.abs(g_m - closed_m) * scale))
     report.add("covariance oracle vs closed form", dev, 1e-8)
 
-    # analytic rate vs finite differences
-    dev = 0.0
-    for bho in (0.5, 2.0, 8.0):
-        for omega in (0.1, 0.5, 2.0):
-            pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
-            ts = np.linspace(0.05, 0.95, 6) * pb.period
-            fd = finite_difference_rate(ts, pb)
-            dev = max(dev, np.max(np.abs(complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3)))
+    # analytic rate vs finite differences on a (beta hbar omega, omega, t) grid of 3 x 3 x 6
+    bho, omega = np.array([0.5, 2.0, 8.0])[:, None, None], np.array([0.1, 0.5, 2.0])[:, None]
+    pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
+    ts = np.linspace(0.05, 0.95, 6) * pb.period
+    fd = finite_difference_rate(ts, pb)
+    dev = np.max(np.abs(complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3))
     report.add("rate vs finite differences (relative)", dev, 1e-6)
     return report

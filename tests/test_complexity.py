@@ -1,6 +1,7 @@
 """Closed-form engine: TFD parameters, spectrum, complexity, rate, asymptotics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,26 +34,25 @@ def params_with(bhw: float, omega: float = 0.5, omega_ref: float = 1.0, mass: fl
 
 class TestAlpha:
     def test_zero_temperature(self):
-        tfd = alpha_of(params_with(math.inf))
-        assert (tfd.alpha, tfd.cosh2a, tfd.sinh2a) == (0.0, 1.0, 0.0)
+        assert alpha_of(params_with(math.inf)) == (0.0, 1.0, 0.0)
 
     def test_bhw_2ln2(self):
-        tfd = alpha_of(params_with(BHW2LN2))
-        assert tfd.alpha == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-        assert tfd.cosh2a == pytest.approx(5.0 / 3.0, rel=1e-14)
-        assert tfd.sinh2a == pytest.approx(4.0 / 3.0, rel=1e-14)
+        alpha, cosh2a, sinh2a = alpha_of(params_with(BHW2LN2))
+        assert alpha == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
+        assert cosh2a == pytest.approx(5.0 / 3.0, rel=1e-14)
+        assert sinh2a == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_bhw_4ln2(self):
-        tfd = alpha_of(params_with(4.0 * math.log(2.0)))
-        assert tfd.cosh2a == pytest.approx(17.0 / 15.0, rel=1e-14)
-        assert tfd.sinh2a == pytest.approx(8.0 / 15.0, rel=1e-14)
+        _, cosh2a, sinh2a = alpha_of(params_with(4.0 * math.log(2.0)))
+        assert cosh2a == pytest.approx(17.0 / 15.0, rel=1e-14)
+        assert sinh2a == pytest.approx(8.0 / 15.0, rel=1e-14)
 
     def test_hyperbolic_identity(self):
         for bhw in (0.01, 0.5, 3.0, 20.0):
-            tfd = alpha_of(params_with(bhw))
+            _, cosh2a, sinh2a = alpha_of(params_with(bhw))
             # the difference of squares loses ~eps * cosh^2 in absolute terms
-            tol = 1e-15 * max(tfd.cosh2a**2, 1.0)
-            assert tfd.cosh2a**2 - tfd.sinh2a**2 == pytest.approx(1.0, abs=100 * tol)
+            tol = 1e-15 * max(cosh2a**2, 1.0)
+            assert cosh2a**2 - sinh2a**2 == pytest.approx(1.0, abs=100 * tol)
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
@@ -76,8 +76,9 @@ class TestThermodynamics:
             ho = math.exp(-bhw / 2.0) / (1.0 - math.exp(-bhw))
             assert 2.0 * partition_function(p) == pytest.approx(ho, rel=1e-13)
 
-    def test_partition_zero_temperature_flagged(self):
-        with pytest.warns(RuntimeWarning):
+    def test_partition_zero_temperature_is_exact_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert partition_function(params_with(math.inf)) == 0.0
 
     def test_internal_energy_ground_state(self):
@@ -97,84 +98,71 @@ class TestCovariance:
     def test_vacuum_at_zero_temperature(self):
         p = params_with(math.inf, omega=0.5, mass=1.3)
         mw = p.mass * p.omega
-        cov = covariance_g(0.0, p)
-        assert np.allclose(cov.block_1p, np.diag([1.0 / mw, mw]), atol=1e-15)
-        assert np.allclose(cov.block_1m, np.diag([1.0 / mw, mw]), atol=1e-15)
+        g_1p, g_1m, _ = covariance_g(0.0, p)
+        assert np.allclose(g_1p, np.diag([1.0 / mw, mw]), atol=1e-15)
+        assert np.allclose(g_1m, np.diag([1.0 / mw, mw]), atol=1e-15)
 
     def test_t0_values(self):
-        cov = covariance_g(0.0, params_with(BHW2LN2))
-        assert np.allclose(cov.block_1p, np.diag([6.0, 1.0 / 6.0]), atol=1e-14)
+        g_1p, _, _ = covariance_g(0.0, params_with(BHW2LN2))
+        assert np.allclose(g_1p, np.diag([6.0, 1.0 / 6.0]), atol=1e-14)
 
     def test_t0_exponential_form(self):
         p = params_with(1.7, mass=2.0)
-        tfd = alpha_of(p)
+        alpha, _, _ = alpha_of(p)
         mw = p.mass * p.omega
-        cov = covariance_g(0.0, p)
-        assert np.allclose(
-            cov.block_1p, np.diag([math.exp(2 * tfd.alpha) / mw, mw * math.exp(-2 * tfd.alpha)]), rtol=1e-12
-        )
-        assert np.allclose(
-            cov.block_1m, np.diag([math.exp(-2 * tfd.alpha) / mw, mw * math.exp(2 * tfd.alpha)]), rtol=1e-12
-        )
+        g_1p, g_1m, _ = covariance_g(0.0, p)
+        assert np.allclose(g_1p, np.diag([math.exp(2 * alpha) / mw, mw * math.exp(-2 * alpha)]), rtol=1e-12)
+        assert np.allclose(g_1m, np.diag([math.exp(-2 * alpha) / mw, mw * math.exp(2 * alpha)]), rtol=1e-12)
 
     def test_b_sector_block(self):
         p = params_with(1.0, mass=0.7)
         mw = p.mass * p.omega
-        cov = covariance_g(1.1, p)
-        assert np.allclose(cov.block_2, np.diag([1.0 / (6.0 * mw), mw / 6.0]))
-
-    def test_full_matrix_blocks(self):
-        cov = covariance_g(0.2, params_with(1.0))
-        full = cov.full()
-        assert full.shape == (8, 8)
-        assert np.allclose(full[:2, :2], cov.block_1p)
-        assert np.allclose(full[6:, 6:], cov.block_2)
-        assert np.count_nonzero(full) <= 16
+        _, _, g_2 = covariance_g(1.1, p)
+        assert np.allclose(g_2, np.diag([1.0 / (6.0 * mw), mw / 6.0]))
 
     def test_positive_definite_blocks(self):
         for t in (0.0, 0.9, 2.5):
-            cov = covariance_g(t, params_with(0.3))
-            for blk in (cov.block_1p, cov.block_1m, cov.block_2):
+            for blk in covariance_g(t, params_with(0.3)):
                 assert np.all(np.linalg.eigvalsh(blk) > 0)
 
 
 class TestSpectrum:
     def test_exact_rationals(self):
-        spec = relative_spectrum(0.0, params_with(BHW2LN2))
-        assert spec.a_plus == pytest.approx(37.0 / 12.0, abs=1e-12)
-        assert spec.a_minus == pytest.approx(13.0 / 12.0, abs=1e-12)
+        (a_plus, a_minus), e = relative_spectrum(0.0, params_with(BHW2LN2))
+        assert a_plus == pytest.approx(37.0 / 12.0, abs=1e-12)
+        assert a_minus == pytest.approx(13.0 / 12.0, abs=1e-12)
         want = (1 / 6, 6.0, 2 / 3, 3 / 2, 1 / 3, 1 / 12, 1 / 3, 1 / 12)
-        assert np.allclose(spec.e, want, atol=1e-12)
+        assert np.allclose(e, want, atol=1e-12)
 
     def test_equal_frequency(self):
         p = params_with(BHW2LN2, omega=1.0)
-        tfd = alpha_of(p)
+        alpha, cosh2a, _ = alpha_of(p)
         for t in (0.0, 0.4, 2.0):
-            spec = relative_spectrum(t, p)
-            assert spec.a_plus == pytest.approx(tfd.cosh2a, rel=1e-14)
-            assert spec.e[1] == pytest.approx(math.exp(2 * tfd.alpha), rel=1e-12)
-            assert spec.e[0] == pytest.approx(math.exp(-2 * tfd.alpha), rel=1e-12)
+            a, e = relative_spectrum(t, p)
+            assert a[0] == pytest.approx(cosh2a, rel=1e-14)
+            assert e[1] == pytest.approx(math.exp(2 * alpha), rel=1e-12)
+            assert e[0] == pytest.approx(math.exp(-2 * alpha), rel=1e-12)
 
     def test_reciprocal_pairs(self):
         for bhw in (0.05, 1.0, 10.0):
             for t in (0.0, 0.7, 3.0):
-                e = relative_spectrum(t, params_with(bhw)).e
+                _, e = relative_spectrum(t, params_with(bhw))
                 assert e[0] * e[1] == pytest.approx(1.0, abs=1e-12)
                 assert e[2] * e[3] == pytest.approx(1.0, abs=1e-12)
                 assert e[4] * e[5] == pytest.approx(1.0 / 36.0, abs=1e-12)
                 assert e[6] * e[7] == pytest.approx(1.0 / 36.0, abs=1e-12)
 
     def test_b_sector_eigenvalues(self):
-        e = relative_spectrum(0.0, params_with(1.0)).e
+        _, e = relative_spectrum(0.0, params_with(1.0))
         assert e[4] == pytest.approx(1.0 / 3.0)
         assert e[5] == pytest.approx(1.0 / 12.0)
 
     def test_a_never_below_one(self):
         for bhw in (1e-4, 1.0, 50.0):
             for t in np.linspace(0.0, 7.0, 13):
-                spec = relative_spectrum(t, params_with(bhw, omega=2.0))
-                assert spec.a_plus >= 1.0
-                assert spec.a_minus >= 1.0
+                (a_plus, a_minus), _ = relative_spectrum(t, params_with(bhw, omega=2.0))
+                assert a_plus >= 1.0
+                assert a_minus >= 1.0
 
 
 class TestComplexity:
@@ -228,8 +216,8 @@ class TestComplexity:
         p = params_with(0.8)
         period = p.period
         for t in (0.2, 0.9, 1.4):
-            e_t = sorted(relative_spectrum(t, p).e[:4])
-            e_s = sorted(relative_spectrum(period - t, p).e[:4])
+            e_t = sorted(relative_spectrum(t, p)[1][:4])
+            e_s = sorted(relative_spectrum(period - t, p)[1][:4])
             assert np.allclose(e_t, e_s, rtol=1e-12, atol=1e-12)
 
     def test_half_period_monotone_in_beta(self):
@@ -270,7 +258,7 @@ class TestRate:
         # deviation from the limit shrinks monotonically as T grows
         omega = 0.1
         t = math.pi / (4.0 * omega)
-        lim = high_T_rate_limit(t, omega, 1.0)
+        lim = high_T_rate_limit(t, params_with(1.0, omega=omega))
         devs = []
         for bhw in (1e-2, 1e-3, 1e-4, 1e-5):
             p = params_with(bhw, omega=omega)
@@ -282,19 +270,22 @@ class TestRate:
 class TestHighTRateLimit:
     def test_equal_frequency_zero(self):
         for t in (0.0, 1.0, 4.2):
-            assert high_T_rate_limit(t, 0.7, 0.7) == 0.0
+            assert high_T_rate_limit(t, PhysicalParams(omega=0.7, omega_ref=0.7)) == 0.0
 
     def test_zero_at_t0(self):
-        assert high_T_rate_limit(0.0, 0.5, 1.0) == 0.0
+        assert high_T_rate_limit(0.0, PhysicalParams(omega=0.5, omega_ref=1.0)) == 0.0
 
     def test_pinned_value(self):
         # direct substitution: (1/2)*0.5*0.75^2*1 / (1.25^2 - 0.75^2/2)
-        got = high_T_rate_limit(math.pi / 2.0, 0.5, 1.0)
+        got = high_T_rate_limit(math.pi / 2.0, PhysicalParams(omega=0.5, omega_ref=1.0))
         assert got == pytest.approx(0.140625 / 1.28125, rel=1e-14)
 
     def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            high_T_rate_limit(0.0, -1.0, 1.0)
+        # high_T_rate_limit reads its frequencies from PhysicalParams, which rejects these
+        for field in ("omega", "omega_ref"):
+            for value in (-1.0, 0.0, math.nan):
+                with pytest.raises(ValueError):
+                    PhysicalParams(**{field: value})
 
 
 class TestAmplitude:

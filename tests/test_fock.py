@@ -1,11 +1,14 @@
 """Truncated-Fock-space oracle checks."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from landau_tfd import fock
 from landau_tfd import (
     PhysicalParams,
     commutator_report,
@@ -21,6 +24,29 @@ BHW2LN2 = 2.0 * math.log(2.0)
 
 def params_with(bhw: float, omega: float = 0.5, mass: float = 1.0) -> PhysicalParams:
     return PhysicalParams(hbar=1.0, mass=mass, omega=omega, omega_ref=1.0, beta=bhw / omega)
+
+
+def vdot_blocks(t: float, params: PhysicalParams, dim: int) -> tuple:
+    """Reference: the covariance blocks at one t and beta, each quadrature applied to the state matrix diag(c)."""
+    q = math.exp(-params.beta * params.hbar * params.omega)
+    n = np.arange(dim)
+    c = math.sqrt(1.0 - q) * q ** (n / 2.0) * np.exp(-1j * params.omega * t * (n + 0.5))
+    a = ladder_matrix("a", dim)
+    mw = params.mass * params.omega
+    x = math.sqrt(params.hbar / (2.0 * mw)) * (a + a.T)
+    p = -1j * math.sqrt(params.hbar * mw / 2.0) * (a - a.T)
+    blocks = []
+    for sign in (+1.0, -1.0):
+        applied = [(m * c[None, :] + sign * c[:, None] * m.T) / math.sqrt(2.0) for m in (x, p)]
+        blocks.append(2.0 * np.array([[np.vdot(u, v).real for v in applied] for u in applied]) / params.hbar)
+    return blocks[0], blocks[1]
+
+
+def rotated(dim: int) -> np.ndarray:
+    """A real rotation by 1e-3 in the plane of the first two basis states."""
+    rot = np.eye(dim)
+    rot[:2, :2] = [[math.cos(1e-3), -math.sin(1e-3)], [math.sin(1e-3), math.cos(1e-3)]]
+    return rot
 
 
 class TestLadderMatrix:
@@ -61,6 +87,13 @@ class TestHamiltonian:
         a = ladder_matrix("a", 8)
         num = a.T @ a
         assert np.max(np.abs(h @ num - num @ h)) == 0.0
+
+    def test_stacks_over_omega(self):
+        p = PhysicalParams(hbar=2.0, omega=np.array([0.3, 0.7, 5.0]), beta=1.0)
+        h = hamiltonian_matrix(6, p)
+        assert h.shape == (3, 6, 6)
+        for i, omega in enumerate(p.omega):
+            assert np.array_equal(h[i], hamiltonian_matrix(6, p.with_(omega=omega)))
 
     def test_matches_ladder_construction(self):
         p = PhysicalParams(hbar=2.0, omega=0.7, beta=1.0)
@@ -122,9 +155,9 @@ class TestCovarianceOracle:
             p = params_with(bhw)
             for t in np.linspace(0.0, p.period, 9):
                 g_p, g_m = oracle_covariance_1pm(t, p, 60)
-                closed = covariance_g(t, p)
-                assert np.max(np.abs(g_p - closed.block_1p)) < 1e-8
-                assert np.max(np.abs(g_m - closed.block_1m)) < 1e-8
+                closed_p, closed_m, _ = covariance_g(t, p)
+                assert np.max(np.abs(g_p - closed_p)) < 1e-8
+                assert np.max(np.abs(g_m - closed_m)) < 1e-8
 
     def test_symmetry(self):
         p = params_with(2.0)
@@ -137,15 +170,15 @@ class TestCovarianceOracle:
         from landau_tfd.complexity import alpha_of
 
         p = params_with(1.5)
-        tfd = alpha_of(p)
+        _, cosh2a, sinh2a = alpha_of(p)
         mw = p.mass * p.omega
         for t in (0.3, 1.1):
             _, g_m = oracle_covariance_1pm(t, p, 60)
             c, s = math.cos(p.omega * t), math.sin(p.omega * t)
             flipped = np.array(
                 [
-                    [(tfd.cosh2a - tfd.sinh2a * c) / mw, tfd.sinh2a * s],
-                    [tfd.sinh2a * s, mw * (tfd.cosh2a + tfd.sinh2a * c)],
+                    [(cosh2a - sinh2a * c) / mw, sinh2a * s],
+                    [sinh2a * s, mw * (cosh2a + sinh2a * c)],
                 ]
             )
             assert np.max(np.abs(g_m - flipped)) < 1e-8
@@ -158,6 +191,27 @@ class TestCovarianceOracle:
             g_p, g_m = oracle_covariance_1pm(t, p, 60)
             assert np.linalg.det(g_p @ g0_inv) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.det(g_m @ g0_inv) == pytest.approx(1.0, abs=1e-10)
+
+    def test_grid_matches_vdot_reference(self):
+        p = PhysicalParams(mass=1.3, omega=0.5, beta=1.0)
+        ts, betas = np.linspace(0.0, p.period, 9), np.array([1.0, 2.0, 4.0]) / p.omega
+        got = oracle_covariance_1pm(ts[:, None], p.with_(beta=betas), 60)
+        for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(betas)):
+            for g, want in zip(got, vdot_blocks(t, p.with_(beta=b), 60)):
+                assert np.max(np.abs(g[i, j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_grid_holds_no_state_matrices(self):
+        # a stack of 27 dense 128 x 128 complex state matrices alone would take 7 MB
+        p = params_with(1.0)
+        grid = p.with_(beta=np.array([1.0, 2.0, 4.0]) / p.omega)
+        ts = np.linspace(0.0, p.period, 9)[:, None]
+        tracemalloc.start()
+        try:
+            oracle_covariance_1pm(ts, grid, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_truncation_warning(self):
         with pytest.warns(RuntimeWarning, match="norm deficit"):
@@ -181,3 +235,19 @@ class TestCommutatorReport:
     def test_min_dim(self):
         with pytest.raises(ValueError):
             commutator_report(3)
+
+    @pytest.mark.parametrize(
+        "check, perturb",
+        [
+            # b' = I x (R a) keeps b'^dag b' = b^dag b, so L_z holds, and commutes with a x I
+            ("[b,b_dagger] interior", lambda a, b, dim: (a, np.kron(np.eye(dim), rotated(dim)) @ b)),
+            # a' = a (R x I) still commutes with I x a, but a'^dag a' is no longer diagonal
+            ("L_z eigenvalue k - n", lambda a, b, dim: (a @ np.kron(rotated(dim), np.eye(dim)), b)),
+        ],
+        ids=["b", "L_z"],
+    )
+    def test_check_fails_alone(self, check, perturb, monkeypatch):
+        two_mode = fock._two_mode
+        monkeypatch.setattr(fock, "_two_mode", lambda dim: perturb(*two_mode(dim), dim))
+        report = commutator_report(16)
+        assert [c.name for c in report.checks if not c.passed] == [check]

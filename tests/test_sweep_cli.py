@@ -1,13 +1,14 @@
 """Sweep drivers, table serialization, and the command-line interface."""
 
 import contextlib
-import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,17 @@ from landau_tfd import (
     PhysicalParams,
     SweepConfig,
     SweepRange,
+    alpha_of,
+    asymptotic_amplitude,
+    asymptotic_complexity,
     complexity,
     complexity_rate,
     covariance_g,
     high_T_rate_limit,
+    oracle_covariance_1pm,
     oscillation_amplitude,
+    partition_function,
+    relative_spectrum,
     run_beta_sweep,
     run_lloyd,
     run_omega_sweep,
@@ -30,6 +37,7 @@ from landau_tfd import (
     run_verify,
 )
 from landau_tfd import sweep
+from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
 
@@ -115,7 +123,7 @@ class TestTimeSeries:
         assert np.all(np.isinf(table.column("complexity[beta=0]")))
         p = cfg.params
         for t, r in zip(table.column("t"), table.column("rate[beta=0]")):
-            assert r == high_T_rate_limit(t, p.omega, p.omega_ref)
+            assert r == high_T_rate_limit(t, p)
         assert "beta0_note" in table.metadata
 
     def test_metadata_echoes_config(self):
@@ -146,6 +154,29 @@ class TestBetaOmegaSweeps:
         assert np.all(amp[omegas != 1.0] > 0.0)
 
 
+def _outputs(result) -> tuple:
+    return result if isinstance(result, tuple) else (result,)
+
+
+# every closed form that broadcasts, called as f(t, params), with the inputs it broadcasts over:
+# t, beta ("b") and omega ("w")
+_BROADCASTING = {
+    "alpha_of": (lambda t, p: alpha_of(p), "bw"),
+    "partition_function": (lambda t, p: partition_function(p), "bw"),
+    "covariance_g": (covariance_g, "tbw"),
+    "relative_spectrum": (relative_spectrum, "tbw"),
+    "high_T_rate_limit": (high_T_rate_limit, "tw"),
+    **{
+        f"asymptotic_complexity-{regime}": (functools.partial(asymptotic_complexity, regime), "tbw")
+        for regime in ("low_T", "high_T", "equal_freq_low_T", "equal_freq_high_T", "high_freq", "low_freq")
+    },
+    **{
+        f"asymptotic_amplitude-{regime}": (lambda t, p, regime=regime: asymptotic_amplitude(regime, p), "bw")
+        for regime in ("low_T", "high_T", "high_freq")
+    },
+}
+
+
 class TestArrayPath:
     """The runners evaluate whole columns at once; each value equals the per-point scalar call."""
 
@@ -159,7 +190,7 @@ class TestArrayPath:
             for t, c, r in zip(*(table.column(n) for n in names)):
                 t = float(t)
                 if beta == 0.0:
-                    assert (c, r) == (math.inf, high_T_rate_limit(t, p.omega, p.omega_ref))
+                    assert (c, r) == (math.inf, high_T_rate_limit(t, p))
                 else:
                     pb = p.with_(beta=beta)
                     assert (c, r) == (complexity(t, pb), complexity_rate(t, pb))
@@ -171,6 +202,37 @@ class TestArrayPath:
         for beta, c, amp in zip(*(table.column(n) for n in ("beta", "complexity_half_period", "amplitude"))):
             pb = cfg.params.with_(beta=float(beta))
             assert (c, amp) == (complexity(half, pb), oscillation_amplitude(pb))
+
+    @pytest.mark.parametrize("name", sorted(_BROADCASTING))
+    def test_closed_form_equals_scalar_calls(self, name):
+        fn, inputs = _BROADCASTING[name]
+        ts, betas, omegas = np.array([0.0, 0.7, 2.9, 11.0]), np.array([0.05, 2.0, math.inf]), np.array([0.25, 1.0, 3.0])
+        shape = np.broadcast_shapes(*({"t": (4, 1, 1), "b": (3, 1), "w": (3,)}[x] for x in inputs))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            # an asymptotic regime warns, and may divide by 0, at the points outside it; the values still compare
+            warnings.simplefilter("ignore")
+            got = fn(ts[:, None, None], PhysicalParams(omega=omegas, beta=betas[:, None]))
+            want = [fn(t, PhysicalParams(omega=w, beta=b)) for t, b, w in itertools.product(ts, betas, omegas)]
+        assert len(_outputs(got)) == len(_outputs(want[0]))
+        for g, w in zip(_outputs(got), zip(*map(_outputs, want))):
+            w = np.reshape(w, (4, 3, 3) + np.shape(w[0]))
+            assert np.shape(g) == shape + np.shape(w[0, 0, 0])
+            np.testing.assert_array_equal(np.broadcast_to(g, w.shape), w)
+
+    def test_fock_oracle_equals_scalar_calls(self):
+        p = PhysicalParams(omega=0.5, beta=2.0)
+        ts, betas = np.array([0.0, 0.9, 4.1]), np.array([2.0, 8.0, math.inf])
+        grid = p.with_(beta=betas)
+        c, deficit = tfd_a_sector_state(ts[:, None], grid, 40)
+        blocks = oracle_covariance_1pm(ts[:, None], grid, 40)
+        assert c.shape == (3, 3, 40) and deficit.shape == (3,)
+        for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(betas)):
+            c_1, deficit_1 = tfd_a_sector_state(t, p.with_(beta=b), 40)
+            np.testing.assert_array_equal(c[i, j], c_1)
+            assert deficit[j] == deficit_1
+            for g, g_1 in zip(blocks, oracle_covariance_1pm(t, p.with_(beta=b), 40)):
+                # a stack of amplitude vectors goes through one matrix product, not one vector product each
+                np.testing.assert_allclose(g[i, j], g_1, rtol=1e-14, atol=1e-14 * np.max(np.abs(g_1)))
 
 
 class TestLloyd:
@@ -328,13 +390,22 @@ class TestVerify:
 
     def test_covariance_check_catches_relative_error(self, monkeypatch):
         def perturbed(t, params):
-            g = covariance_g(t, params)
-            return dataclasses.replace(g, block_1m=g.block_1m * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]))
+            g_1p, g_1m, g_2 = covariance_g(t, params)
+            return g_1p, g_1m * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]), g_2
 
         monkeypatch.setattr(sweep, "covariance_g", perturbed)
         report = run_verify(small_config("verify", params=PhysicalParams(mass=1e-9, omega=0.5, beta=2.0), fock_dim=60))
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["covariance oracle vs closed form"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: at an extreme omega/omega_ref, C is large and the finite difference's rounding, "
+        "about eps*C/h, exceeds the rate check's 1e-6 tolerance",
+    )
+    @pytest.mark.parametrize("omega_ref", ["1e-40", "1e40"])
+    def test_passes_at_extreme_frequency_ratio(self, omega_ref, capsys):
+        assert main(["--mode", "verify", "--omega-ref", omega_ref]) == 0
 
     def test_truncation_warnings_reach_the_report(self, capsys):
         assert main(["--mode", "verify", "--fock-dim", "8"]) == 2
