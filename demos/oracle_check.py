@@ -3,12 +3,16 @@ Brute-force oracle versus closed forms
 ======================================
 
 Every closed-form expression in the library is backed by an independent
-numerical oracle: Landau-level wavefunctions are integrated by
-Gauss-Laguerre quadrature and differentiated on a grid, and the TFD
+numerical oracle: Landau-level wavefunctions are integrated and
+differentiated on Gauss-Legendre nodes in rho (with the differentiation
+matrix of their interpolant) and a uniform grid in phi, and the TFD
 covariance blocks are recomputed as expectation values in a truncated
 Fock space. This script runs the aggregate verification report and
-shows one covariance comparison entry by entry.
+shows one covariance comparison entry by entry. It exits 1 if any
+check fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -49,3 +53,4 @@ for check in report.checks:
     status = "pass" if check.passed else "FAIL"
     print(f"  [{status}] {check.name}: max deviation {check.max_deviation:.2e} (tolerance {check.tolerance:.0e})")
 print("all passed" if report.passed else "FAILURES PRESENT")
+sys.exit(0 if report.passed else 1)

@@ -20,6 +20,8 @@ import numpy as np
 LN6 = math.log(6.0)
 _TINY = np.finfo(float).tiny
 _MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
+# points of lloyd_check's uniform grid over one period, before the golden-section polish
+_LLOYD_SAMPLES = 257
 
 __all__ = [
     "LN6",
@@ -417,16 +419,14 @@ def _golden_max(f, lo, hi, tol: float = 1e-10):
     return 0.5 * (a + b)
 
 
-def lloyd_check(params: PhysicalParams, t_samples: int = 257) -> LloydResult:
+def lloyd_check(params: PhysicalParams) -> LloydResult:
     """Compare the maximum complexity rate over one period with 2U/(pi hbar).
 
-    The maximum is located on a uniform grid and polished by
-    golden-section search around the grid argmax.  beta and omega in
-    params may be arrays; every field of the result then has their
-    broadcast shape.
+    The maximum is located on a uniform grid of _LLOYD_SAMPLES points
+    and polished by golden-section search around the grid argmax.  beta
+    and omega in params may be arrays; every field of the result then
+    has their broadcast shape.
     """
-    if t_samples < 8:
-        raise ValueError("t_samples must be at least 8")
     bound = 2.0 * internal_energy(params) / (math.pi * params.hbar)
 
     def abs_rate(t):
@@ -434,12 +434,12 @@ def lloyd_check(params: PhysicalParams, t_samples: int = 257) -> LloydResult:
 
     # one grid of t per parameter point, along axis 0
     shape = np.broadcast(params.beta, params.omega).shape
-    ts = np.linspace(0.0, np.broadcast_to(params.period, shape), t_samples)
+    ts = np.linspace(0.0, np.broadcast_to(params.period, shape), _LLOYD_SAMPLES)
     rates = abs_rate(ts)
     i = np.argmax(rates, axis=0)[None]
 
     def at(k):
-        return np.take_along_axis(ts, np.clip(k, 0, t_samples - 1), axis=0)[0]
+        return np.take_along_axis(ts, np.clip(k, 0, _LLOYD_SAMPLES - 1), axis=0)[0]
 
     t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
     max_rate, grid_max = abs_rate(t_star), rates.max(axis=0)

@@ -3,7 +3,9 @@
 Generalized Laguerre polynomials by stable recurrence, the normalized
 wavefunctions in dimensionless polar coordinates, level energies, and
 quadrature oracles for the normalization and the ladder-operator
-actions (finite differences in rho, an FFT derivative in phi).
+actions.  The grid oracles share one radial rule: Gauss-Legendre nodes
+on rho in [0, 12], their weights, and the differentiation matrix of
+their interpolant; phi is a uniform grid with an FFT derivative.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import legder, leggauss, legvander
 
 from .complexity import PhysicalParams
 
@@ -31,6 +34,10 @@ __all__ = [
 ]
 
 _MAX_QUAD_NODES = 180
+# the radial rule of the grid oracles: Gauss-Legendre nodes on rho in [0, _RHO_MAX].  The oracles hold
+# for states negligible beyond _RHO_MAX; the ladder check errs by 2e-4 at (n, ell) = (30, 0)
+_RHO_MAX = 12.0
+_RHO_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,22 @@ def _gauss_laguerre(nodes: int) -> tuple:
     return x, w
 
 
+@functools.cache
+def _radial_rule() -> tuple:
+    """Gauss-Legendre nodes and weights on rho in [0, _RHO_MAX] and the differentiation matrix of their interpolant.
+
+    Built once and read-only.  No node sits at rho = 0, so the operators'
+    1/rho is finite on every node.
+    """
+    x, w = leggauss(_RHO_NODES)
+    d = legvander(x, _RHO_NODES - 2) @ legder(np.eye(_RHO_NODES)) @ np.linalg.inv(legvander(x, _RHO_NODES - 1))
+    half = _RHO_MAX / 2.0
+    rule = (half * (x + 1.0), half * w, d / half)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def laguerre_norm_integral(n: int, m: int, ell: int) -> float:
     """Gauss-Laguerre evaluation of int_0^inf r^ell e^{-r} L_n L_m dr.
 
@@ -136,24 +159,18 @@ def laguerre_norm_integral(n: int, m: int, ell: int) -> float:
     return float(np.sum(w * x**ell * laguerre(n, ell, x) * laguerre(m, ell, x)))
 
 
-def wavefunction_gram(states, params: PhysicalParams, n_radial: int = 64, n_angular: int = 64) -> np.ndarray:
+def wavefunction_gram(states, params: PhysicalParams) -> np.ndarray:
     """Quadrature Gram matrix of a list of QuantumNumbers.
 
-    Gauss-Laguerre in r = rho^2 (the weight e^{-r} matches the Gaussian
-    of the integrand) and trapezoid in phi (periodic, spectrally
-    accurate).  Orthonormal states give the identity.
+    Gauss-Legendre in rho (the radial rule) and trapezoid in phi
+    (periodic, spectrally accurate).  Orthonormal states give the
+    identity.
     """
-    r, w = _gauss_laguerre(n_radial)
-    rho = np.sqrt(r)
-    phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    lam = length_scale(params)
-    # samples[state, radial, angular]
-    samples = np.array([wavefunction(q, rho[:, None], phi[None, :], params) for q in states])
-    # undo the quadrature weight: the product of two wavefunctions carries e^{-r}
-    radial_w = w * np.exp(r) / 2.0
-    ang_w = 2.0 * math.pi / n_angular
-    gram = np.einsum("irp,jrp,r->ij", np.conjugate(samples), samples, radial_w) * ang_w * lam**2
-    return gram
+    rho, _, _ = _radial_rule()
+    phi = _phi_grid(max(abs(q.ell) for q in states))
+    # samples[state, rho, phi]
+    samples = np.array([wavefunction(q, rho[:, None], phi, params) for q in states])
+    return _project(samples[:, None], samples[None, :], phi, length_scale(params))
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +187,6 @@ _LADDER = {
 }
 
 
-def _d_rho(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order difference along axis 0: central inside, one-sided at edges."""
-    out = np.empty_like(f)
-    out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    return out
-
-
 def _d_phi(f: np.ndarray) -> np.ndarray:
     """Spectral derivative along the periodic axis 1, with the Nyquist mode zeroed."""
     n = f.shape[1]
@@ -190,54 +196,41 @@ def _d_phi(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(f, axis=1), axis=1)
 
 
-def _grid(ell_max: int):
-    """rho grid with an odd count (composite Simpson) and a phi grid for |ell| <= ell_max.
+def _phi_grid(ell_max: int) -> np.ndarray:
+    """phi grid for |ell| <= ell_max.
 
     A wavefunction is e^{i ell phi} times a radial factor, and the ladder
     phase e^{+-i phi} shifts ell by one, so every field has modes up to
     ell_max + 1.  With n_phi > 2 (ell_max + 1) neither the spectral
     derivative nor the phi trapezoid sum of a product aliases.
     """
-    # rho = 0 excluded: the operators contain (1/rho) d_phi
-    rho = np.linspace(1e-3, 12.0, 2001)
     n_phi = 2 * ell_max + 4
-    return rho, rho[1] - rho[0], 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
-def _apply_ladder(which: str, q: QuantumNumbers, params: PhysicalParams, rho_grid, h, phi):
-    """Apply the differential-operator form of a ladder operator (see ``_LADDER``) on the grid."""
-    _, dell, s_rho, s_phi = _LADDER[which]
-    psi = wavefunction(q, rho_grid[:, None], phi[None, :], params)
-    rho = rho_grid[:, None]
-    derivatives = rho * psi + s_rho * _d_rho(psi, h) + s_phi * 1j * _d_phi(psi) / rho
-    return -s_phi * np.exp(1j * dell * phi) / 2.0 * derivatives
+def _project(target: np.ndarray, field: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+    """lambda^2 * integral of conj(target) * field * rho drho dphi over the trailing (rho, phi) axes.
 
-
-def _project(target: np.ndarray, field: np.ndarray, rho: np.ndarray, phi: np.ndarray, lam: float) -> complex:
-    """lambda^2 * integral of conj(target) * field * rho drho dphi.
-
-    Composite Simpson in rho (odd count, uniform spacing) and the trapezoid sum in phi.
+    Gauss-Legendre in rho and the trapezoid sum in phi; leading axes broadcast.
     """
-    simpson = np.full(len(rho), 2.0)
-    simpson[1::2] = 4.0
-    simpson[[0, -1]] = 1.0
-    radial = (simpson * rho) @ (np.conjugate(target) * field) * ((rho[1] - rho[0]) / 3.0)
-    return complex(np.sum(radial) * (2.0 * math.pi / len(phi)) * lam * lam)
+    rho, w, _ = _radial_rule()
+    return np.einsum("r,...rp,...rp->...", w * rho, np.conjugate(target), field) * (2.0 * math.pi / len(phi) * lam * lam)
 
 
 def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -> float:
     """Overlap coefficient of a ladder operator applied numerically.
 
-    The operator's differential form is evaluated on a (rho, phi) grid,
-    by finite differences in rho and an FFT derivative in phi, and
-    projected onto the predicted target wavefunction by quadrature; for
-    valid targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell),
-    or sqrt(n+ell+1).  Annihilation of a vacuum direction returns
-    exactly 0 with a warning.
+    The operator's differential form is evaluated on the Gauss-Legendre
+    rho nodes and a uniform phi grid, with the rule's differentiation
+    matrix in rho and an FFT derivative in phi, and projected onto the
+    predicted target wavefunction by the same quadrature; for valid
+    targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell), or
+    sqrt(n+ell+1).  Annihilation of a vacuum direction returns exactly 0
+    with a warning.
     """
     if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")
-    dn, dell, _, _ = _LADDER[which]
+    dn, dell, s_rho, s_phi = _LADDER[which]
     if which == "a" and q.n == 0:
         warnings.warn("a annihilates the n=0 states", RuntimeWarning)
         return 0.0
@@ -245,10 +238,13 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
         warnings.warn("b annihilates the k=0 states", RuntimeWarning)
         return 0.0
     target_q = QuantumNumbers(q.n + dn, q.ell + dell)
-    rho, h, phi = _grid(max(abs(q.ell), abs(target_q.ell)))
-    field = _apply_ladder(which, q, params, rho, h, phi)
-    target = wavefunction(target_q, rho[:, None], phi[None, :], params)
-    return _project(target, field, rho, phi, length_scale(params)).real
+    rho, _, d = _radial_rule()
+    rho = rho[:, None]
+    phi = _phi_grid(max(abs(q.ell), abs(target_q.ell)))
+    psi = wavefunction(q, rho, phi, params)
+    field = -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
+    target = wavefunction(target_q, rho, phi, params)
+    return float(_project(target, field, phi, length_scale(params)).real)
 
 
 def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
@@ -257,6 +253,7 @@ def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
     Returns the projection of -i d_phi Psi onto Psi, which equals ell
     for an exact eigenstate (so the eigenvalue is hbar times this).
     """
-    rho, _, phi = _grid(abs(q.ell))
-    psi = wavefunction(q, rho[:, None], phi[None, :], params)
-    return _project(psi, -1j * _d_phi(psi), rho, phi, length_scale(params)).real
+    rho, _, _ = _radial_rule()
+    phi = _phi_grid(abs(q.ell))
+    psi = wavefunction(q, rho[:, None], phi, params)
+    return float(_project(psi, -1j * _d_phi(psi), phi, length_scale(params)).real)

@@ -261,9 +261,9 @@ def run_lloyd(config: SweepConfig) -> SweepTable:
     )
 
 
-def finite_difference_rate(t, params: PhysicalParams, step: float | None = None):
-    """4th-order central finite difference of the complexity in time; t, beta and omega may be arrays."""
-    h = step if step is not None else 1e-5 * params.period
+def finite_difference_rate(t, params: PhysicalParams):
+    """4th-order central finite difference of the complexity in time, with step 1e-5 periods; t, beta and omega may be arrays."""
+    h = 1e-5 * params.period
     f = lambda s: complexity(s, params)
     return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
 
@@ -299,9 +299,9 @@ def _verify_checks(config: SweepConfig) -> fock.OracleReport:
         if n + abs(ell) <= 4
     ]
     gram = landau.wavefunction_gram(states, p)
-    report.add("wavefunction orthonormality", np.max(np.abs(gram - np.eye(len(states)))), 1e-8)
+    report.add("wavefunction orthonormality", np.max(np.abs(gram - np.eye(len(states)))), 1e-12)
 
-    # ladder-operator coefficients by the grid oracle (finite differences in rho, FFT in phi)
+    # ladder-operator coefficients by the grid oracle (Gauss-Legendre differentiation matrix in rho, FFT in phi)
     cases = [
         (landau.QuantumNumbers(1, 0), "a_dagger", math.sqrt(2.0)),
         (landau.QuantumNumbers(0, 2), "b_dagger", math.sqrt(3.0)),
@@ -309,7 +309,7 @@ def _verify_checks(config: SweepConfig) -> fock.OracleReport:
         (landau.QuantumNumbers(1, 1), "b", math.sqrt(2.0)),
     ]
     dev = max(abs(landau.ladder_action_check(q, which, p) - want) for q, which, want in cases)
-    report.add("ladder-operator coefficients", dev, 1e-4)
+    report.add("ladder-operator coefficients", dev, 1e-11)
 
     # commutators on the truncated space
     report.checks += fock.commutator_report(config.fock_dim).checks

@@ -222,7 +222,7 @@ def test_criterion_10_quantization_suite():
     states = [QuantumNumbers(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4]
     gram = wavefunction_gram(states, p)
     dev = float(np.max(np.abs(gram - np.eye(len(states)))))
-    ok &= dev < 1e-8
+    ok &= dev < 1e-12
     details.append(f"gram {dev:.1e}")
 
     cases = [
@@ -234,7 +234,7 @@ def test_criterion_10_quantization_suite():
         (QuantumNumbers(1, 1), "b", math.sqrt(2.0)),
     ]
     dev = max(abs(ladder_action_check(q, which, p) - want) for q, which, want in cases)
-    ok &= dev < 1e-4
+    ok &= dev < 1e-11
     details.append(f"ladder {dev:.1e}")
 
     _report(10, "Landau-level quantization suite (orthogonality, Gram, ladder)", bool(ok), "; ".join(details))

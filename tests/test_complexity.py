@@ -395,10 +395,6 @@ class TestLloyd:
             p = PhysicalParams(omega=0.1, omega_ref=1.0, beta=beta)
             assert lloyd_check(p).satisfied
 
-    def test_min_samples(self):
-        with pytest.raises(ValueError):
-            lloyd_check(params_with(1.0), t_samples=4)
-
     def test_argmax_is_interior_maximum(self):
         p = params_with(0.5)
         res = lloyd_check(p)

@@ -162,7 +162,7 @@ class TestWavefunction:
             if n + abs(ell) <= 4
         ]
         gram = wavefunction_gram(states, PARAMS)
-        assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-8
+        assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-12
 
 
 class TestLadderOracle:
@@ -174,18 +174,18 @@ class TestLadderOracle:
 
     def test_a_dagger_coefficient(self):
         got = ladder_action_check(QuantumNumbers(1, 0), "a_dagger", PARAMS)
-        assert got == pytest.approx(math.sqrt(2.0), abs=1e-4)
+        assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_b_dagger_coefficient(self):
         got = ladder_action_check(QuantumNumbers(0, 2), "b_dagger", PARAMS)
-        assert got == pytest.approx(math.sqrt(3.0), abs=1e-4)
+        assert got == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_lowering_coefficients(self):
         assert ladder_action_check(QuantumNumbers(2, 0), "a", PARAMS) == pytest.approx(
-            math.sqrt(2.0), abs=1e-4
+            math.sqrt(2.0), abs=1e-12
         )
         assert ladder_action_check(QuantumNumbers(1, 1), "b", PARAMS) == pytest.approx(
-            math.sqrt(2.0), abs=1e-4
+            math.sqrt(2.0), abs=1e-12
         )
 
     def test_unknown_operator(self):
@@ -197,11 +197,13 @@ class TestAngularMomentum:
     @pytest.mark.parametrize("n,ell", [(0, 0), (1, 3), (2, -1), (0, 2)])
     def test_eigenvalue(self, n, ell):
         got = angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
-        assert got == pytest.approx(ell, abs=1e-4)
+        assert got == pytest.approx(ell, abs=1e-12)
 
 
 # |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4
 HIGH_ELL = [7, 8, 10, 12, -7, -8, -10, -12]
+# high levels that still vanish by rho = 12, the end of the oracles' radial rule
+HIGH_LEVELS = [(10, 10), (20, 0), (15, 15)]
 
 
 class TestHighAngularMomentum:
@@ -210,11 +212,21 @@ class TestHighAngularMomentum:
     def test_ladder_coefficient(self, which, ell):
         n = max(0, -ell) + 1  # k = n + ell >= 1, so b has a target
         want = {"b_dagger": math.sqrt(n + ell + 1), "b": math.sqrt(n + ell), "a_dagger": math.sqrt(n + 1)}[which]
-        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-4)
+        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("ell", HIGH_ELL)
     def test_angular_momentum(self, ell):
-        assert angular_momentum_action(QuantumNumbers(max(0, -ell), ell), PARAMS) == pytest.approx(ell, abs=1e-4)
+        assert angular_momentum_action(QuantumNumbers(max(0, -ell), ell), PARAMS) == pytest.approx(ell, abs=1e-12)
+
+    @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
+    @pytest.mark.parametrize("which", ["a_dagger", "b_dagger"])
+    def test_high_level_ladder_coefficient(self, which, n, ell):
+        want = {"a_dagger": math.sqrt(n + 1), "b_dagger": math.sqrt(n + ell + 1)}[which]
+        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
+    def test_high_level_angular_momentum(self, n, ell):
+        assert angular_momentum_action(QuantumNumbers(n, ell), PARAMS) == pytest.approx(ell, abs=1e-11)
 
 
 def test_import_does_not_load_scipy():

@@ -36,7 +36,7 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
-from landau_tfd import sweep
+from landau_tfd import landau, sweep
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -397,6 +397,26 @@ class TestVerify:
         report = run_verify(small_config("verify", params=PhysicalParams(mass=1e-9, omega=0.5, beta=2.0), fock_dim=60))
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["covariance oracle vs closed form"]
+
+    def test_ladder_check_catches_relative_error(self, monkeypatch):
+        exact = landau.ladder_action_check
+        monkeypatch.setattr(landau, "ladder_action_check", lambda *args: exact(*args) * (1.0 + 1e-10))
+        report = run_verify(small_config("verify", fock_dim=60))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["ladder-operator coefficients"]
+
+    def test_gram_check_catches_off_diagonal_error(self, monkeypatch):
+        exact = landau.wavefunction_gram
+
+        def perturbed(states, params):
+            gram = exact(states, params)
+            gram[0, 1] += 1e-10
+            return gram
+
+        monkeypatch.setattr(landau, "wavefunction_gram", perturbed)
+        report = run_verify(small_config("verify", fock_dim=60))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["wavefunction orthonormality"]
 
     @pytest.mark.xfail(
         strict=True,
