@@ -175,7 +175,7 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _deviation(m: np.ndarray, diagonal) -> float:
     """max |m - diag(diagonal)|, computed in place on m."""
     m[np.diag_indices_from(m)] -= diagonal
-    return np.max(np.abs(m))
+    return np.max(np.abs(m, out=m))
 
 
 def commutator_report(dim: int) -> OracleReport:
@@ -199,12 +199,22 @@ def commutator_report(dim: int) -> OracleReport:
     a_l, b_r = _two_mode(dt)
     n, k = np.divmod(np.arange(dt * dt), dt)
     interior = k < dt - 1
-    report.add("[b,b_dagger] interior", _deviation(_commutator(b_r, b_r.T)[np.ix_(interior, interior)], 1.0), 1e-12)
+    # the two-mode checks form b^dag b once, for both [b, b^dag] and L_z, and reuse the buffers m and lz:
+    # each fresh N'^2 x N'^2 array costs new pages and can raise the peak RSS
+    m = _commutator(a_l, b_r)
+    dev_ab = _deviation(m, 0.0)
+    lz = b_r.T @ b_r
+    np.matmul(b_r, b_r.T, out=m)
+    m -= lz
+    # [b, b^dag] on the interior states: the rows and columns of k = N' - 1 and their diagonal expectation are 0
+    m[~interior] = 0.0
+    m[:, ~interior] = 0.0
+    dev_b = _deviation(m, interior * 1.0)
+    # column i of L_z / hbar is L_z / hbar applied to the basis state i = |n, k>
+    lz -= np.matmul(a_l.T, a_l, out=m)
+    report.add("[b,b_dagger] interior", dev_b, 1e-12)
     edge = comm[dim - 1, dim - 1] - (-(dim - 1))
     report.add("[a,a_dagger] truncation edge = -(N-1)", abs(edge), 1e-12)
-    report.add("[a,b] two-mode", _deviation(_commutator(a_l, b_r), 0.0), 1e-12)
-    # column i of L_z / hbar is L_z / hbar applied to the basis state i = |n, k>
-    lz = b_r.T @ b_r
-    lz -= a_l.T @ a_l
+    report.add("[a,b] two-mode", dev_ab, 1e-12)
     report.add("L_z eigenvalue k - n", _deviation(lz, k - n), 1e-12)
     return report

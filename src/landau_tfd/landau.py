@@ -38,6 +38,8 @@ _MAX_QUAD_NODES = 180
 # for states negligible beyond _RHO_MAX; the ladder check errs by 2e-4 at (n, ell) = (30, 0)
 _RHO_MAX = 12.0
 _RHO_NODES = 96
+# the ladder check warns when its source or target state's norm on the radial rule misses 1 by more
+_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,26 +61,27 @@ class QuantumNumbers:
         return self.n + self.ell
 
 
-def laguerre(n: int, ell: int, r):
+def laguerre(n, ell, r):
     """Generalized Laguerre polynomial L_n^{(ell)}(r) for ell >= 0.
 
     Three-term recurrence in n at fixed ell; the explicit factorial sum
-    is unstable for n beyond ~15.  Accepts scalar or array r.
+    is unstable for n beyond ~15.  n, ell and r broadcast: each element
+    takes its value at step n of one recurrence run to the largest n.
     """
-    if n < 0:
+    n, ell = np.asarray(n), np.asarray(ell)
+    if (n < 0).any():
         raise ValueError(f"n must be non-negative, got {n}")
-    if ell < 0:
+    if (ell < 0).any():
         raise ValueError(f"ell must be non-negative, got {ell}")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("r must be non-negative")
-    prev = np.ones_like(r)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = (ell + 1.0) - r
-    for j in range(1, n):
+    prev, cur = 1.0, (ell + 1.0) - r
+    out = np.where(n == 0, prev, cur)
+    for j in range(1, int(n.max())):
         prev, cur = cur, ((2.0 * j + ell + 1.0 - r) * cur - (j + ell) * prev) / (j + 1.0)
-    return cur if cur.ndim else float(cur)
+        out = np.where(n == j + 1, cur, out)
+    return out if out.ndim else float(out)
 
 
 def energy(n: int, params: PhysicalParams) -> float:
@@ -94,27 +97,33 @@ def length_scale(params: PhysicalParams) -> float:
 
 
 def wavefunction(q: QuantumNumbers, rho, phi, params: PhysicalParams):
-    """Normalized wavefunction at dimensionless radius rho and angle phi.
+    """Normalized wavefunction of the state q at dimensionless radius rho and angle phi."""
+    return _wavefunctions(q.n, q.ell, rho, phi, params)
 
-    For ell >= 0 this is the direct product of the log-gamma prefactor,
-    the phase, rho^ell, the Gaussian, and L_n^{(ell)}(rho^2).  Negative
-    ell (down to -n) maps to the conjugate of a non-negative-ell state:
-    Psi_{n,-m} = (-1)^m conj(Psi_{n-m,m}), which keeps the evaluation
-    finite at rho = 0.
+
+# sqrt(n! / (n + a)!) by log-gamma, elementwise
+_norm_ratio = np.frompyfunc(lambda n, a: math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + a + 1))), 2, 1)
+
+
+def _wavefunctions(n, ell, rho, phi, params: PhysicalParams):
+    """Normalized wavefunctions of the states (n, ell) at (rho, phi); n, ell, rho and phi broadcast.
+
+    The state (n, ell) with m = max(-ell, 0) is (-1)^m times the radial
+    part of (n - m, |ell|) times e^{i ell phi}, where the radial part of
+    (n, a) is the log-gamma prefactor, rho^a, the Gaussian, and
+    L_n^{(a)}(rho^2).  So Psi_{n,-m} = (-1)^m conj(Psi_{n-m,m}), and the
+    evaluation stays finite at rho = 0.
     """
+    n, ell = np.asarray(n), np.asarray(ell)
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be non-negative")
-    if q.ell < 0:
-        m = -q.ell
-        conj = wavefunction(QuantumNumbers(q.n - m, m), rho, phi, params)
-        return (-1) ** m * np.conjugate(conj)
-    lam = length_scale(params)
-    log_pref = 0.5 * (math.lgamma(q.n + 1) - math.lgamma(q.n + q.ell + 1))
-    pref = math.exp(log_pref) / (lam * math.sqrt(math.pi))
+    m = np.maximum(-ell, 0)
+    n_r, a = n - m, np.abs(ell)
+    pref = (-1.0) ** m * (np.asarray(_norm_ratio(n_r, a), dtype=float) / (length_scale(params) * math.sqrt(math.pi)))
     r = rho * rho
-    val = pref * np.exp(1j * q.ell * phi) * rho**q.ell * np.exp(-r / 2.0) * laguerre(q.n, q.ell, r)
+    val = pref * np.exp(1j * ell * phi) * rho**a * np.exp(-r / 2.0) * laguerre(n_r, a, r)
     return val if val.ndim else complex(val)
 
 
@@ -142,35 +151,44 @@ def _radial_rule() -> tuple:
     return rule
 
 
-def laguerre_norm_integral(n: int, m: int, ell: int) -> float:
-    """Gauss-Laguerre evaluation of int_0^inf r^ell e^{-r} L_n L_m dr.
+def laguerre_norm_integral(n, m, ell):
+    """Gauss-Laguerre evaluation of int_0^inf r^ell e^{-r} L_n^{(ell)} L_m^{(ell)} dr.
 
-    The node count is chosen for exactness on the integrand's polynomial
-    degree n + m + ell; compare against Gamma(n+ell+1)/n! * delta_nm.
+    n, m and ell broadcast.  One rule serves every element: its node
+    count is exact on the largest polynomial degree n + m + ell in the
+    call.  Compare against (n+ell)!/n! * delta_nm.
     """
-    if n < 0 or m < 0 or ell < 0:
+    n, m, ell = np.asarray(n), np.asarray(m), np.asarray(ell)
+    if (n < 0).any() or (m < 0).any() or (ell < 0).any():
         raise ValueError("n, m, ell must all be non-negative")
-    nodes = (n + m + ell) // 2 + 1
+    nodes = int((n + m + ell).max()) // 2 + 1
     if nodes > _MAX_QUAD_NODES:
         raise ValueError(
             f"quadrature order {nodes} exceeds the supported maximum {_MAX_QUAD_NODES}"
         )
     x, w = _gauss_laguerre(nodes)
-    return float(np.sum(w * x**ell * laguerre(n, ell, x) * laguerre(m, ell, x)))
+    # the nodes on a new last axis
+    n, m, ell = n[..., None], m[..., None], ell[..., None]
+    val = np.sum(w * x**ell * laguerre(n, ell, x) * laguerre(m, ell, x), axis=-1)
+    return val if val.ndim else float(val)
 
 
 def wavefunction_gram(states, params: PhysicalParams) -> np.ndarray:
     """Quadrature Gram matrix of a list of QuantumNumbers.
 
     Gauss-Legendre in rho (the radial rule) and trapezoid in phi
-    (periodic, spectrally accurate).  Orthonormal states give the
-    identity.
+    (periodic, spectrally accurate): all states are evaluated in one
+    stacked call and projected by one weighted matmul.  Orthonormal
+    states give the identity.
     """
-    rho, _, _ = _radial_rule()
-    phi = _phi_grid(max(abs(q.ell) for q in states))
-    # samples[state, rho, phi]
-    samples = np.array([wavefunction(q, rho[:, None], phi, params) for q in states])
-    return _project(samples[:, None], samples[None, :], phi, length_scale(params))
+    n, ell = np.array([(q.n, q.ell) for q in states]).T[..., None, None]
+    rho, w, _ = _radial_rule()
+    phi = _phi_grid(int(np.max(np.abs(ell))))
+    # samples[state, rho * phi]
+    samples = _wavefunctions(n, ell, rho[:, None], phi, params).reshape(len(states), -1)
+    weighted = np.conjugate(samples) * np.repeat(w * rho, len(phi))
+    lam = length_scale(params)
+    return weighted @ samples.T * (2.0 * math.pi / len(phi) * lam * lam)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +244,8 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
     predicted target wavefunction by the same quadrature; for valid
     targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell), or
     sqrt(n+ell+1).  Annihilation of a vacuum direction returns exactly 0
-    with a warning.
+    with a warning, and a source or target state that does not vanish
+    by rho = 12 (its norm on the rule misses 1 by more than 1e-12) warns.
     """
     if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")
@@ -244,7 +263,17 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
     psi = wavefunction(q, rho, phi, params)
     field = -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
     target = wavefunction(target_q, rho, phi, params)
-    return float(_project(target, field, phi, length_scale(params)).real)
+    lam = length_scale(params)
+    for state, f in ((q, psi), (target_q, target)):
+        deficit = 1.0 - _project(f, f, phi, lam).real
+        if abs(deficit) > _NORM_TOL:
+            warnings.warn(
+                f"state (n, ell) = ({state.n}, {state.ell}) has norm deficit {deficit:.3e} on the radial rule "
+                f"rho <= {_RHO_MAX:g}; its ladder coefficient is unreliable",
+                RuntimeWarning,
+            )
+            break
+    return float(_project(target, field, phi, lam).real)
 
 
 def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:

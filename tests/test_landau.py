@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from landau_tfd import landau
 from landau_tfd import (
     PhysicalParams,
     QuantumNumbers,
@@ -64,9 +65,18 @@ class TestLaguerre:
         assert out.shape == r.shape
         assert out[1] == pytest.approx(laguerre(3, 2, 1.0))
 
+    def test_array_n_and_ell_match_scalar_bits(self):
+        r = np.linspace(0.0, 25.0, 41)
+        n, ell = np.meshgrid(np.arange(13), np.arange(9), indexing="ij")
+        got = laguerre(n[..., None], ell[..., None], r)
+        want = np.array([[laguerre(int(a), int(b), r) for a, b in zip(*row)] for row in zip(n, ell)])
+        np.testing.assert_array_equal(got, want)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)
+        with pytest.raises(ValueError):
+            laguerre(np.array([2, -1]), 0, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, -1, 1.0)
         with pytest.raises(ValueError):
@@ -112,10 +122,42 @@ class TestNormIntegral:
     def test_quadrature_order_overflow(self):
         with pytest.raises(ValueError, match="quadrature order"):
             laguerre_norm_integral(200, 200, 10)
+        with pytest.raises(ValueError, match="quadrature order"):
+            laguerre_norm_integral(np.array([0, 200]), 200, 10)
 
     def test_negative_arguments(self):
         with pytest.raises(ValueError):
             laguerre_norm_integral(-1, 0, 0)
+        with pytest.raises(ValueError):
+            laguerre_norm_integral(np.arange(3), np.arange(-1, 2), 0)
+
+    @pytest.mark.parametrize(
+        "nml, bits",
+        [
+            # the scalar path's values before n, m and ell broadcast
+            ((0, 0, 0), "0x1.0000000000000p+0"),
+            ((2, 2, 3), "0x1.e00000000000cp+5"),
+            ((4, 4, 4), "0x1.a3fffffffffeep+10"),
+            ((3, 1, 2), "0x1.9000000000000p-49"),
+            ((10, 10, 5), "0x1.5fea000000054p+18"),
+            ((4, 3, 0), "-0x1.684ccc53cfc3ap-56"),
+            ((7, 7, 0), "0x1.000000000000ep+0"),
+        ],
+    )
+    def test_scalar_bits_pinned(self, nml, bits):
+        got = laguerre_norm_integral(*nml)
+        assert isinstance(got, float)
+        assert got == float.fromhex(bits)
+
+    def test_grid_call_matches_scalar_calls(self):
+        # one rule for the whole grid, exact on its largest degree; each scalar call takes the fewest nodes
+        ell, n, m = np.ogrid[:5, :5, :5]
+        got = laguerre_norm_integral(n, m, ell)
+        want = np.array([[[laguerre_norm_integral(b, c, a) for c in range(5)] for b in range(5)] for a in range(5)])
+        assert got.shape == (5, 5, 5)
+        h = np.vectorize(math.perm)(n + ell, ell).astype(float)  # (n+ell)!/n!
+        scale = np.sqrt(h * np.swapaxes(h, 1, 2))
+        assert np.max(np.abs(got - want) / scale) < 1e-14
 
 
 class TestWavefunction:
@@ -164,6 +206,23 @@ class TestWavefunction:
         gram = wavefunction_gram(states, PARAMS)
         assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-12
 
+    @pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(omega=0.3, mass=2.0)], ids=["unit", "scaled"])
+    def test_stacked_gram_matches_per_state_construction(self, params):
+        states = [QuantumNumbers(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4]
+        rho, w, _ = landau._radial_rule()
+        phi = landau._phi_grid(4)
+        # samples[state, rho, phi], one wavefunction call per state
+        per_state = np.array([wavefunction(q, rho[:, None], phi, params) for q in states])
+        lam = length_scale(params)
+        dphi_lam2 = 2.0 * math.pi / len(phi) * lam * lam
+        gram = wavefunction_gram(states, params)
+        flat = per_state.reshape(len(states), -1)
+        weighted = flat.conj() * np.repeat(w * rho, len(phi))
+        assert np.max(np.abs(gram - weighted @ flat.T * dphi_lam2)) <= 1e-15
+        # a per-pair einsum sums each entry's 96 x 12 terms in another order
+        einsum = np.einsum("r,irp,jrp->ij", w * rho, per_state.conj(), per_state) * dphi_lam2
+        assert np.max(np.abs(gram - einsum)) < 1e-14
+
 
 class TestLadderOracle:
     def test_annihilation_of_vacuum(self):
@@ -187,6 +246,12 @@ class TestLadderOracle:
         assert ladder_action_check(QuantumNumbers(1, 1), "b", PARAMS) == pytest.approx(
             math.sqrt(2.0), abs=1e-12
         )
+
+    def test_state_beyond_the_radial_rule_warns_once(self):
+        # (30, 0) has 1.7e-5 of its norm beyond rho = 12, and its a_dagger coefficient errs by 2.3e-4
+        with pytest.warns(RuntimeWarning, match=r"\(n, ell\) = \(30, 0\) has norm deficit 1\.70\de-05") as caught:
+            ladder_action_check(QuantumNumbers(30, 0), "a_dagger", PARAMS)
+        assert len(caught) == 1
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):

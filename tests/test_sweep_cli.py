@@ -418,6 +418,38 @@ class TestVerify:
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["wavefunction orthonormality"]
 
+    @pytest.mark.parametrize(
+        "oracle, check",
+        [("laguerre_norm_integral", "laguerre orthogonality"), ("wavefunction_gram", "wavefunction orthonormality")],
+    )
+    def test_landau_check_catches_relative_error(self, oracle, check, monkeypatch):
+        exact = getattr(landau, oracle)
+        monkeypatch.setattr(landau, oracle, lambda *args: exact(*args) * (1.0 + 1e-9))
+        report = run_verify(small_config("verify", fock_dim=60))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == [check]
+
+    def test_landau_checks_make_one_call_each(self, monkeypatch):
+        calls = {"laguerre_norm_integral": 0, "wavefunction_gram": 0}
+
+        def counted(name):
+            exact = getattr(landau, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return exact(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(landau, name, counted(name))
+        assert run_verify(small_config("verify", fock_dim=60)).passed
+        assert calls == {"laguerre_norm_integral": 1, "wavefunction_gram": 1}
+
+    def test_default_report_has_no_warnings(self, capsys):
+        assert main(["--mode", "verify"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == []
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 1: at an extreme omega/omega_ref, C is large and the finite difference's rounding, "
