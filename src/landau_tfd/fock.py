@@ -62,8 +62,8 @@ class OracleReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _check_dim(dim: int) -> None:
@@ -160,22 +160,13 @@ def oracle_covariance_1pm(t, params: PhysicalParams, dim: int = 60):
 
 
 def _two_mode(dim: int) -> tuple:
-    """a = a x I and b = I x a on the two-mode space, with |n, k> at index n*dim + k."""
+    """The factors A, B of a = A x I and b = I x B on the two-mode space of dim levels per mode.
+
+    On the state matrix X of a two-mode state (X_nk the amplitude of
+    |n, k>), a acts as A X and b as X B^T, as in ``_quadratic_form``.
+    """
     a = ladder_matrix("a", dim)
-    return np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)
-
-
-def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y - y x with one temporary: the two-mode products are N'^2 x N'^2."""
-    m = x @ y
-    m -= y @ x
-    return m
-
-
-def _deviation(m: np.ndarray, diagonal) -> float:
-    """max |m - diag(diagonal)|, computed in place on m."""
-    m[np.diag_indices_from(m)] -= diagonal
-    return np.max(np.abs(m, out=m))
+    return a, a
 
 
 def commutator_report(dim: int) -> OracleReport:
@@ -183,9 +174,10 @@ def commutator_report(dim: int) -> OracleReport:
 
     [a, a^dag] = 1 holds exactly on the interior basis states (the last
     diagonal entry carries the truncation edge artifact -(N-1)).  On the
-    two-mode space of N' = min(N, 16) levels per mode (it grows as N'^2):
-    [b, b^dag] = 1 on the states |n, k> with k < N' - 1; [a, b] = 0 across
-    the two tensor factors; and L_z = -hbar(a^dag a - b^dag b) applied to
+    two-mode space of N' = min(N, 16) levels per mode, each operator acts
+    on every basis state |n, k> as its N' x N' state matrix:
+    [b, b^dag] = 1 on the states with k < N' - 1; [a, b] = 0 across the
+    two tensor factors; and L_z = -hbar(a^dag a - b^dag b) applied to
     each |n, k> gives hbar(k - n) |n, k>, with k - n read from the labels.
     """
     if dim < 4:
@@ -196,25 +188,20 @@ def commutator_report(dim: int) -> OracleReport:
     report.add("[a,a_dagger] interior", np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))), 1e-12)
 
     dt = min(dim, 16)
-    a_l, b_r = _two_mode(dt)
+    a_f, b_f = _two_mode(dt)
+    # e[i] is the state matrix of the basis state i = |n, k>, with i = n*dt + k
+    e = np.eye(dt * dt).reshape(-1, dt, dt)
     n, k = np.divmod(np.arange(dt * dt), dt)
-    interior = k < dt - 1
-    # the two-mode checks form b^dag b once, for both [b, b^dag] and L_z, and reuse the buffers m and lz:
-    # each fresh N'^2 x N'^2 array costs new pages and can raise the peak RSS
-    m = _commutator(a_l, b_r)
-    dev_ab = _deviation(m, 0.0)
-    lz = b_r.T @ b_r
-    np.matmul(b_r, b_r.T, out=m)
-    m -= lz
-    # [b, b^dag] on the interior states: the rows and columns of k = N' - 1 and their diagonal expectation are 0
-    m[~interior] = 0.0
-    m[:, ~interior] = 0.0
-    dev_b = _deviation(m, interior * 1.0)
-    # column i of L_z / hbar is L_z / hbar applied to the basis state i = |n, k>
-    lz -= np.matmul(a_l.T, a_l, out=m)
+    a_e, b_e = a_f @ e, e @ b_f.T
+    # each check reduces to its scalar before the next builds its stacks, so one check's arrays are alive at a time
+    # [b, b^dag] on the interior states k < N' - 1, read off their components with k < N' - 1
+    dev_b = np.max(np.abs(((e @ b_f) @ b_f.T - b_e @ b_f - e)[k < dt - 1, :, :-1]))
+    dev_ab = np.max(np.abs(a_f @ b_e - a_e @ b_f.T))
+    # L_z / hbar = b^dag b - a^dag a
+    dev_lz = np.max(np.abs(b_e @ b_f - a_f.T @ a_e - (k - n)[:, None, None] * e))
     report.add("[b,b_dagger] interior", dev_b, 1e-12)
     edge = comm[dim - 1, dim - 1] - (-(dim - 1))
     report.add("[a,a_dagger] truncation edge = -(N-1)", abs(edge), 1e-12)
     report.add("[a,b] two-mode", dev_ab, 1e-12)
-    report.add("L_z eigenvalue k - n", _deviation(lz, k - n), 1e-12)
+    report.add("L_z eigenvalue k - n", dev_lz, 1e-12)
     return report

@@ -38,7 +38,7 @@ _MAX_QUAD_NODES = 180
 # for states negligible beyond _RHO_MAX; the ladder check errs by 2e-4 at (n, ell) = (30, 0)
 _RHO_MAX = 12.0
 _RHO_NODES = 96
-# the ladder check warns when its source or target state's norm on the radial rule misses 1 by more
+# the grid oracles warn when a state's norm on the radial rule misses 1 by more
 _NORM_TOL = 1e-12
 
 
@@ -66,7 +66,8 @@ def laguerre(n, ell, r):
 
     Three-term recurrence in n at fixed ell; the explicit factorial sum
     is unstable for n beyond ~15.  n, ell and r broadcast: each element
-    takes its value at step n of one recurrence run to the largest n.
+    takes its value at step n of one recurrence run to the largest n, and
+    runs on zeros after that, so the steps it does not use cannot overflow.
     """
     n, ell = np.asarray(n), np.asarray(ell)
     if (n < 0).any():
@@ -79,6 +80,8 @@ def laguerre(n, ell, r):
     prev, cur = 1.0, (ell + 1.0) - r
     out = np.where(n == 0, prev, cur)
     for j in range(1, int(n.max())):
+        live = n > j
+        prev, cur = np.where(live, prev, 0.0), np.where(live, cur, 0.0)
         prev, cur = cur, ((2.0 * j + ell + 1.0 - r) * cur - (j + ell) * prev) / (j + 1.0)
         out = np.where(n == j + 1, cur, out)
     return out if out.ndim else float(out)
@@ -235,6 +238,30 @@ def _project(target: np.ndarray, field: np.ndarray, phi: np.ndarray, lam: float)
     return np.einsum("r,...rp,...rp->...", w * rho, np.conjugate(target), field) * (2.0 * math.pi / len(phi) * lam * lam)
 
 
+def _matrix_element(q: QuantumNumbers, target: QuantumNumbers, apply, params: PhysicalParams) -> float:
+    """<target| O |q> on the radial rule and the phi grid, where apply(psi, rho, phi) is O psi on the grid.
+
+    Warns once when q or the target misses unit norm on the rule by more
+    than _NORM_TOL: such a state does not vanish by rho = _RHO_MAX, and
+    the element is unreliable.
+    """
+    rho = _radial_rule()[0][:, None]
+    phi = _phi_grid(max(abs(q.ell), abs(target.ell)))
+    psi = wavefunction(q, rho, phi, params)
+    bra = psi if target == q else wavefunction(target, rho, phi, params)
+    lam = length_scale(params)
+    for state, f in {q: psi, target: bra}.items():
+        deficit = 1.0 - _project(f, f, phi, lam).real
+        if abs(deficit) > _NORM_TOL:
+            warnings.warn(
+                f"state (n, ell) = ({state.n}, {state.ell}) has norm deficit {deficit:.3e} on the radial rule "
+                f"rho <= {_RHO_MAX:g}; its matrix elements are unreliable",
+                RuntimeWarning,
+            )
+            break
+    return float(_project(bra, apply(psi, rho, phi), phi, lam).real)
+
+
 def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -> float:
     """Overlap coefficient of a ladder operator applied numerically.
 
@@ -243,46 +270,31 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
     matrix in rho and an FFT derivative in phi, and projected onto the
     predicted target wavefunction by the same quadrature; for valid
     targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell), or
-    sqrt(n+ell+1).  Annihilation of a vacuum direction returns exactly 0
-    with a warning, and a source or target state that does not vanish
-    by rho = 12 (its norm on the rule misses 1 by more than 1e-12) warns.
+    sqrt(n+ell+1).  An operator whose target is not a valid state (a on
+    n = 0, b on k = 0) returns exactly 0 with a warning, and a source or
+    target state that does not vanish by rho = 12 (its norm on the rule
+    misses 1 by more than 1e-12) warns.
     """
     if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")
     dn, dell, s_rho, s_phi = _LADDER[which]
-    if which == "a" and q.n == 0:
-        warnings.warn("a annihilates the n=0 states", RuntimeWarning)
+    n, ell = q.n + dn, q.ell + dell
+    if n < 0 or ell < -n:
+        warnings.warn(f"{which} annihilates the state (n, ell) = ({q.n}, {q.ell})", RuntimeWarning)
         return 0.0
-    if which == "b" and q.k == 0:
-        warnings.warn("b annihilates the k=0 states", RuntimeWarning)
-        return 0.0
-    target_q = QuantumNumbers(q.n + dn, q.ell + dell)
-    rho, _, d = _radial_rule()
-    rho = rho[:, None]
-    phi = _phi_grid(max(abs(q.ell), abs(target_q.ell)))
-    psi = wavefunction(q, rho, phi, params)
-    field = -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
-    target = wavefunction(target_q, rho, phi, params)
-    lam = length_scale(params)
-    for state, f in ((q, psi), (target_q, target)):
-        deficit = 1.0 - _project(f, f, phi, lam).real
-        if abs(deficit) > _NORM_TOL:
-            warnings.warn(
-                f"state (n, ell) = ({state.n}, {state.ell}) has norm deficit {deficit:.3e} on the radial rule "
-                f"rho <= {_RHO_MAX:g}; its ladder coefficient is unreliable",
-                RuntimeWarning,
-            )
-            break
-    return float(_project(target, field, phi, lam).real)
+    d = _radial_rule()[2]
+
+    def apply(psi, rho, phi):
+        return -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
+
+    return _matrix_element(q, QuantumNumbers(n, ell), apply, params)
 
 
 def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
     """Angular-momentum eigenvalue from -i hbar d_phi applied numerically.
 
     Returns the projection of -i d_phi Psi onto Psi, which equals ell
-    for an exact eigenstate (so the eigenvalue is hbar times this).
+    for an exact eigenstate (so the eigenvalue is hbar times this).  A
+    state that does not vanish by rho = 12 warns, as in the ladder check.
     """
-    rho, _, _ = _radial_rule()
-    phi = _phi_grid(abs(q.ell))
-    psi = wavefunction(q, rho[:, None], phi, params)
-    return float(_project(psi, -1j * _d_phi(psi), phi, length_scale(params)).real)
+    return _matrix_element(q, q, lambda psi, rho, phi: -1j * _d_phi(psi), params)

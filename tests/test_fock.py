@@ -218,6 +218,28 @@ class TestCovarianceOracle:
             oracle_covariance_1pm(0.0, params_with(0.1), 20)
 
 
+def dense_commutator_report(dim: int) -> list:
+    """Reference: the two-mode checks on dense N'^2 x N'^2 Kronecker products, |n, k> at index n*N' + k."""
+    a = ladder_matrix("a", dim)
+    comm = a @ a.T - a.T @ a
+    dt = min(dim, 16)
+    a_1 = ladder_matrix("a", dt)
+    a_l, b_r = np.kron(a_1, np.eye(dt)), np.kron(np.eye(dt), a_1)
+    n, k = np.divmod(np.arange(dt * dt), dt)
+    interior = k < dt - 1
+    comm_b = b_r @ b_r.T - b_r.T @ b_r
+    comm_b[~interior] = 0.0
+    comm_b[:, ~interior] = 0.0
+    lz = b_r.T @ b_r - a_l.T @ a_l
+    return [
+        ("[a,a_dagger] interior", np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1)))),
+        ("[b,b_dagger] interior", np.max(np.abs(comm_b - np.diag(interior * 1.0)))),
+        ("[a,a_dagger] truncation edge = -(N-1)", abs(comm[dim - 1, dim - 1] - (-(dim - 1)))),
+        ("[a,b] two-mode", np.max(np.abs(a_l @ b_r - b_r @ a_l))),
+        ("L_z eigenvalue k - n", np.max(np.abs(lz - np.diag(k - n)))),
+    ]
+
+
 class TestCommutatorReport:
     def test_all_pass(self):
         report = commutator_report(60)
@@ -236,18 +258,25 @@ class TestCommutatorReport:
         with pytest.raises(ValueError):
             commutator_report(3)
 
+    @pytest.mark.parametrize("dim", [4, 5, 16, 17, 60, 128])
+    def test_matches_dense_kronecker_reference(self, dim):
+        report = commutator_report(dim)
+        want = dense_commutator_report(dim)
+        assert [(c.name, c.max_deviation.hex()) for c in report.checks] == [(m, float(v).hex()) for m, v in want]
+        assert all(c.tolerance == 1e-12 for c in report.checks)
+
     @pytest.mark.parametrize(
         "check, perturb",
         [
-            # b' = I x (R a) keeps b'^dag b' = b^dag b, so L_z holds, and commutes with a x I
-            ("[b,b_dagger] interior", lambda a, b, dim: (a, np.kron(np.eye(dim), rotated(dim)) @ b)),
-            # a' = a (R x I) still commutes with I x a, but a'^dag a' is no longer diagonal
-            ("L_z eigenvalue k - n", lambda a, b, dim: (a @ np.kron(rotated(dim), np.eye(dim)), b)),
+            # B' = R B keeps B'^T B' = B^T B, so L_z holds, and b' = I x B' commutes with a x I
+            ("[b,b_dagger] interior", lambda a, b: (a, rotated(len(b)) @ b)),
+            # A' = A R still commutes with I x B, but A'^T A' is no longer diagonal
+            ("L_z eigenvalue k - n", lambda a, b: (a @ rotated(len(a)), b)),
         ],
         ids=["b", "L_z"],
     )
     def test_check_fails_alone(self, check, perturb, monkeypatch):
         two_mode = fock._two_mode
-        monkeypatch.setattr(fock, "_two_mode", lambda dim: perturb(*two_mode(dim), dim))
+        monkeypatch.setattr(fock, "_two_mode", lambda dim: perturb(*two_mode(dim)))
         report = commutator_report(16)
         assert [c.name for c in report.checks if not c.passed] == [check]

@@ -72,6 +72,17 @@ class TestLaguerre:
         want = np.array([[laguerre(int(a), int(b), r) for a, b in zip(*row)] for row in zip(n, ell)])
         np.testing.assert_array_equal(got, want)
 
+    def test_mixed_n_keeps_scalar_bits_without_overflow(self):
+        # n = 1 at r = 1e200 is -1e200; a step past its own n would overflow (pytest turns the warning into an error)
+        n, r = np.array([1, 3]), np.array([1e200, 0.1])
+        got = laguerre(n, 0, r)
+        assert [v.hex() for v in got] == [laguerre(int(a), 0, b).hex() for a, b in zip(n, r)]
+
+    def test_element_overflow_still_warns(self):
+        # L_3(1e200) ~ -1e600/6 overflows in the element's own steps
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            laguerre(np.array([3, 1]), 0, np.array([1e200, 0.1]))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)
@@ -226,9 +237,9 @@ class TestWavefunction:
 
 class TestLadderOracle:
     def test_annihilation_of_vacuum(self):
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match=r"a annihilates the state \(n, ell\) = \(0, 0\)"):
             assert ladder_action_check(QuantumNumbers(0, 0), "a", PARAMS) == 0.0
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match=r"b annihilates the state \(n, ell\) = \(1, -1\)"):
             assert ladder_action_check(QuantumNumbers(1, -1), "b", PARAMS) == 0.0
 
     def test_a_dagger_coefficient(self):
@@ -263,6 +274,16 @@ class TestAngularMomentum:
     def test_eigenvalue(self, n, ell):
         got = angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
         assert got == pytest.approx(ell, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,ell,deficit", [(30, 4, r"4\.4\d\de-04"), (25, 5, r"1\.0\d\de-07"), (28, -3, r"1\.2\d\de-08")]
+    )
+    def test_state_beyond_the_radial_rule_warns_once(self, n, ell, deficit):
+        # eigenvalues off by 1.8e-3, 5.4e-7 and 3.7e-8: the states do not vanish by rho = 12
+        match = rf"\(n, ell\) = \({n}, {ell}\) has norm deficit {deficit}"
+        with pytest.warns(RuntimeWarning, match=match) as caught:
+            angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
+        assert len(caught) == 1
 
 
 # |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4
