@@ -26,7 +26,6 @@ from .fock import (
     tfd_a_sector_state,
 )
 from .landau import (
-    QuantumNumbers,
     angular_momentum_action,
     energy,
     ladder_action_check,

@@ -95,31 +95,32 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
+        runner = {
+            "time-series": run_time_series,
+            "beta-sweep": run_beta_sweep,
+            "omega-sweep": run_omega_sweep,
+            "lloyd": run_lloyd,
+            "verify": run_verify,
+        }[config.mode]
+        # a row count beyond the address space fails here, in numpy's allocation
+        result = runner(config)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     if config.mode == "verify":
-        report = run_verify(config)
-        _emit(report.to_json() + "\n", args.out)
-        return 0 if report.passed else VERIFY_FAILURE
+        _emit(result.to_json() + "\n", args.out)
+        return 0 if result.passed else VERIFY_FAILURE
 
-    runner = {
-        "time-series": run_time_series,
-        "beta-sweep": run_beta_sweep,
-        "omega-sweep": run_omega_sweep,
-        "lloyd": run_lloyd,
-    }[config.mode]
-    table = runner(config)
-    _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
+    _emit(result.to_csv() if args.format == "csv" else result.to_json() + "\n", args.out)
 
     if config.mode == "lloyd":
-        violated = ~table.column("satisfied")
+        violated = ~result.column("satisfied")
         if violated.any():
             print("Lloyd bound violated at:", file=sys.stderr)
-            for beta, rate, bound in zip(*(table.column(n)[violated] for n in ("beta", "max_rate", "bound"))):
+            for beta, rate, bound in zip(*(result.column(n)[violated] for n in ("beta", "max_rate", "bound"))):
                 print(f"  beta={beta:.6g} max_rate={rate:.6g} bound={bound:.6g}", file=sys.stderr)
             return LLOYD_VIOLATION
     return 0

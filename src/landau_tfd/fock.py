@@ -71,21 +71,16 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"truncation size must be in [2, {MAX_DIM}] (the dense-matrix cap), got {dim}")
 
 
-def ladder_matrix(kind: str, dim: int) -> np.ndarray:
-    """Annihilation or creation matrix: (a)_{n-1,n} = sqrt(n)."""
+def ladder_matrix(dim: int) -> np.ndarray:
+    """Annihilation matrix, (a)_{n-1,n} = sqrt(n); the creation matrix is its transpose."""
     _check_dim(dim)
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-    if kind == "a":
-        return a
-    if kind == "a_dagger":
-        return a.T.copy()
-    raise ValueError(f"kind must be 'a' or 'a_dagger', got {kind!r}")
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
 def hamiltonian_matrix(dim: int, params: PhysicalParams) -> np.ndarray:
     """hbar*omega*(a^dag a + 1/2), assembled from the ladder matrices; shape (..., dim, dim) over omega."""
     _check_dim(dim)
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     return np.multiply.outer(params.hbar * params.omega, a.T @ a + 0.5 * np.eye(dim))
 
 
@@ -111,7 +106,7 @@ def tfd_a_sector_state(t, params: PhysicalParams, dim: int) -> tuple:
 
 def _quadratures(dim: int, params: PhysicalParams):
     """Single-mode position and momentum matrices."""
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     mw = params.mass * params.omega
     x = math.sqrt(params.hbar / (2.0 * mw)) * (a + a.T)
     p = -1j * math.sqrt(params.hbar * mw / 2.0) * (a - a.T)
@@ -165,7 +160,7 @@ def _two_mode(dim: int) -> tuple:
     On the state matrix X of a two-mode state (X_nk the amplitude of
     |n, k>), a acts as A X and b as X B^T, as in ``_quadratic_form``.
     """
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     return a, a
 
 
@@ -183,7 +178,7 @@ def commutator_report(dim: int) -> OracleReport:
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     report = OracleReport()
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     comm = a @ a.T - a.T @ a
     report.add("[a,a_dagger] interior", np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))), 1e-12)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -22,7 +21,6 @@ from numpy.polynomial.legendre import legder, leggauss, legvander
 from .complexity import PhysicalParams
 
 __all__ = [
-    "QuantumNumbers",
     "laguerre",
     "energy",
     "length_scale",
@@ -42,23 +40,14 @@ _RHO_NODES = 96
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Principal quantum number n >= 0 and magnetic quantum number ell >= -n."""
-
-    n: int
-    ell: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if self.ell < -self.n:
-            raise ValueError(f"ell must satisfy ell >= -n, got ell={self.ell}, n={self.n}")
-
-    @property
-    def k(self) -> int:
-        """Shifted quantum number k = n + ell (always >= 0)."""
-        return self.n + self.ell
+def _states(n, ell) -> tuple:
+    """n and ell as arrays, checked as labels of Landau states: principal n >= 0 and magnetic ell >= -n."""
+    n, ell = np.asarray(n), np.asarray(ell)
+    if (n < 0).any():
+        raise ValueError(f"n must be non-negative, got {n}")
+    if (ell < -n).any():
+        raise ValueError(f"ell must satisfy ell >= -n, got ell={ell}, n={n}")
+    return n, ell
 
 
 def laguerre(n, ell, r):
@@ -75,8 +64,8 @@ def laguerre(n, ell, r):
     if (ell < 0).any():
         raise ValueError(f"ell must be non-negative, got {ell}")
     r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ValueError("r must be non-negative")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValueError("r must be finite and non-negative")
     prev, cur = 1.0, (ell + 1.0) - r
     out = np.where(n == 0, prev, cur)
     for j in range(1, int(n.max())):
@@ -99,17 +88,12 @@ def length_scale(params: PhysicalParams) -> float:
     return math.sqrt(2.0 * params.hbar / (params.mass * params.omega))
 
 
-def wavefunction(q: QuantumNumbers, rho, phi, params: PhysicalParams):
-    """Normalized wavefunction of the state q at dimensionless radius rho and angle phi."""
-    return _wavefunctions(q.n, q.ell, rho, phi, params)
-
-
 # sqrt(n! / (n + a)!) by log-gamma, elementwise
 _norm_ratio = np.frompyfunc(lambda n, a: math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + a + 1))), 2, 1)
 
 
-def _wavefunctions(n, ell, rho, phi, params: PhysicalParams):
-    """Normalized wavefunctions of the states (n, ell) at (rho, phi); n, ell, rho and phi broadcast.
+def wavefunction(n, ell, rho, phi, params: PhysicalParams):
+    """Normalized wavefunctions of the states (n, ell) at dimensionless radius rho and angle phi; all four broadcast.
 
     The state (n, ell) with m = max(-ell, 0) is (-1)^m times the radial
     part of (n - m, |ell|) times e^{i ell phi}, where the radial part of
@@ -117,11 +101,11 @@ def _wavefunctions(n, ell, rho, phi, params: PhysicalParams):
     L_n^{(a)}(rho^2).  So Psi_{n,-m} = (-1)^m conj(Psi_{n-m,m}), and the
     evaluation stays finite at rho = 0.
     """
-    n, ell = np.asarray(n), np.asarray(ell)
+    n, ell = _states(n, ell)
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be non-negative")
+    if not np.all(np.isfinite(rho) & (rho >= 0)):
+        raise ValueError("rho must be finite and non-negative")
     m = np.maximum(-ell, 0)
     n_r, a = n - m, np.abs(ell)
     pref = (-1.0) ** m * (np.asarray(_norm_ratio(n_r, a), dtype=float) / (length_scale(params) * math.sqrt(math.pi)))
@@ -176,19 +160,20 @@ def laguerre_norm_integral(n, m, ell):
     return val if val.ndim else float(val)
 
 
-def wavefunction_gram(states, params: PhysicalParams) -> np.ndarray:
-    """Quadrature Gram matrix of a list of QuantumNumbers.
+def wavefunction_gram(n, ell, params: PhysicalParams) -> np.ndarray:
+    """Quadrature Gram matrix of the states (n[i], ell[i]), from two 1-D integer arrays.
 
     Gauss-Legendre in rho (the radial rule) and trapezoid in phi
     (periodic, spectrally accurate): all states are evaluated in one
     stacked call and projected by one weighted matmul.  Orthonormal
     states give the identity.
     """
-    n, ell = np.array([(q.n, q.ell) for q in states]).T[..., None, None]
+    n, ell = _states(n, ell)
+    n, ell = n[:, None, None], ell[:, None, None]
     rho, w, _ = _radial_rule()
     phi = _phi_grid(int(np.max(np.abs(ell))))
     # samples[state, rho * phi]
-    samples = _wavefunctions(n, ell, rho[:, None], phi, params).reshape(len(states), -1)
+    samples = wavefunction(n, ell, rho[:, None], phi, params).reshape(len(n), -1)
     weighted = np.conjugate(samples) * np.repeat(w * rho, len(phi))
     lam = length_scale(params)
     return weighted @ samples.T * (2.0 * math.pi / len(phi) * lam * lam)
@@ -238,23 +223,23 @@ def _project(target: np.ndarray, field: np.ndarray, phi: np.ndarray, lam: float)
     return np.einsum("r,...rp,...rp->...", w * rho, np.conjugate(target), field) * (2.0 * math.pi / len(phi) * lam * lam)
 
 
-def _matrix_element(q: QuantumNumbers, target: QuantumNumbers, apply, params: PhysicalParams) -> float:
-    """<target| O |q> on the radial rule and the phi grid, where apply(psi, rho, phi) is O psi on the grid.
+def _matrix_element(state: tuple, target: tuple, apply, params: PhysicalParams) -> float:
+    """<target| O |state> for (n, ell) pairs, where apply(psi, rho, phi) is O psi on the radial rule and the phi grid.
 
-    Warns once when q or the target misses unit norm on the rule by more
-    than _NORM_TOL: such a state does not vanish by rho = _RHO_MAX, and
-    the element is unreliable.
+    Warns once when the state or the target misses unit norm on the rule
+    by more than _NORM_TOL: such a state does not vanish by
+    rho = _RHO_MAX, and the element is unreliable.
     """
     rho = _radial_rule()[0][:, None]
-    phi = _phi_grid(max(abs(q.ell), abs(target.ell)))
-    psi = wavefunction(q, rho, phi, params)
-    bra = psi if target == q else wavefunction(target, rho, phi, params)
+    phi = _phi_grid(max(abs(state[1]), abs(target[1])))
+    psi = wavefunction(*state, rho, phi, params)
+    bra = psi if target == state else wavefunction(*target, rho, phi, params)
     lam = length_scale(params)
-    for state, f in {q: psi, target: bra}.items():
+    for (n, ell), f in {state: psi, target: bra}.items():
         deficit = 1.0 - _project(f, f, phi, lam).real
         if abs(deficit) > _NORM_TOL:
             warnings.warn(
-                f"state (n, ell) = ({state.n}, {state.ell}) has norm deficit {deficit:.3e} on the radial rule "
+                f"state (n, ell) = ({n}, {ell}) has norm deficit {deficit:.3e} on the radial rule "
                 f"rho <= {_RHO_MAX:g}; its matrix elements are unreliable",
                 RuntimeWarning,
             )
@@ -262,8 +247,8 @@ def _matrix_element(q: QuantumNumbers, target: QuantumNumbers, apply, params: Ph
     return float(_project(bra, apply(psi, rho, phi), phi, lam).real)
 
 
-def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -> float:
-    """Overlap coefficient of a ladder operator applied numerically.
+def ladder_action_check(n: int, ell: int, which: str, params: PhysicalParams) -> float:
+    """Overlap coefficient of a ladder operator applied numerically to the state (n, ell).
 
     The operator's differential form is evaluated on the Gauss-Legendre
     rho nodes and a uniform phi grid, with the rule's differentiation
@@ -271,30 +256,31 @@ def ladder_action_check(q: QuantumNumbers, which: str, params: PhysicalParams) -
     predicted target wavefunction by the same quadrature; for valid
     targets the result approaches sqrt(n), sqrt(n+1), sqrt(n+ell), or
     sqrt(n+ell+1).  An operator whose target is not a valid state (a on
-    n = 0, b on k = 0) returns exactly 0 with a warning, and a source or
-    target state that does not vanish by rho = 12 (its norm on the rule
-    misses 1 by more than 1e-12) warns.
+    n = 0, b on n + ell = 0) returns exactly 0 with a warning, and a
+    source or target state that does not vanish by rho = 12 (its norm on
+    the rule misses 1 by more than 1e-12) warns.
     """
+    _states(n, ell)
     if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")
     dn, dell, s_rho, s_phi = _LADDER[which]
-    n, ell = q.n + dn, q.ell + dell
-    if n < 0 or ell < -n:
-        warnings.warn(f"{which} annihilates the state (n, ell) = ({q.n}, {q.ell})", RuntimeWarning)
+    target = (n + dn, ell + dell)
+    if target[0] < 0 or target[1] < -target[0]:
+        warnings.warn(f"{which} annihilates the state (n, ell) = ({n}, {ell})", RuntimeWarning)
         return 0.0
     d = _radial_rule()[2]
 
     def apply(psi, rho, phi):
         return -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
 
-    return _matrix_element(q, QuantumNumbers(n, ell), apply, params)
+    return _matrix_element((n, ell), target, apply, params)
 
 
-def angular_momentum_action(q: QuantumNumbers, params: PhysicalParams) -> float:
-    """Angular-momentum eigenvalue from -i hbar d_phi applied numerically.
+def angular_momentum_action(n: int, ell: int, params: PhysicalParams) -> float:
+    """Angular-momentum eigenvalue of the state (n, ell) from -i hbar d_phi applied numerically.
 
     Returns the projection of -i d_phi Psi onto Psi, which equals ell
     for an exact eigenstate (so the eigenvalue is hbar times this).  A
     state that does not vanish by rho = 12 warns, as in the ladder check.
     """
-    return _matrix_element(q, q, lambda psi, rho, phi: -1j * _d_phi(psi), params)
+    return _matrix_element((n, ell), (n, ell), lambda psi, rho, phi: -1j * _d_phi(psi), params)

@@ -290,23 +290,23 @@ def _verify_checks(config: SweepConfig) -> fock.OracleReport:
     report.add("laguerre orthogonality", np.max(np.abs(landau.laguerre_norm_integral(n, m, ell) - want)), 1e-9)
 
     # wavefunction Gram matrix for n + |ell| <= 4
-    states = [
-        landau.QuantumNumbers(n, ell)
+    states = np.array([
+        (n, ell)
         for n in range(5)
         for ell in range(-n, 5 - n)
         if n + abs(ell) <= 4
-    ]
-    gram = landau.wavefunction_gram(states, p)
+    ])
+    gram = landau.wavefunction_gram(states[:, 0], states[:, 1], p)
     report.add("wavefunction orthonormality", np.max(np.abs(gram - np.eye(len(states)))), 1e-12)
 
     # ladder-operator coefficients by the grid oracle (Gauss-Legendre differentiation matrix in rho, FFT in phi)
     cases = [
-        (landau.QuantumNumbers(1, 0), "a_dagger", math.sqrt(2.0)),
-        (landau.QuantumNumbers(0, 2), "b_dagger", math.sqrt(3.0)),
-        (landau.QuantumNumbers(2, 0), "a", math.sqrt(2.0)),
-        (landau.QuantumNumbers(1, 1), "b", math.sqrt(2.0)),
+        (1, 0, "a_dagger", math.sqrt(2.0)),
+        (0, 2, "b_dagger", math.sqrt(3.0)),
+        (2, 0, "a", math.sqrt(2.0)),
+        (1, 1, "b", math.sqrt(2.0)),
     ]
-    dev = max(abs(landau.ladder_action_check(q, which, p) - want) for q, which, want in cases)
+    dev = max(abs(landau.ladder_action_check(n, ell, which, p) - want) for n, ell, which, want in cases)
     report.add("ladder-operator coefficients", dev, 1e-11)
 
     # commutators on the truncated space

@@ -32,7 +32,6 @@ from landau_tfd import (
     run_time_series,
     wavefunction_gram,
 )
-from landau_tfd.landau import QuantumNumbers
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -219,21 +218,21 @@ def test_criterion_10_quantization_suite():
     details.append(f"orthogonality {dev:.1e}")
 
     p = _params(omega=0.5, beta=1.0)
-    states = [QuantumNumbers(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4]
-    gram = wavefunction_gram(states, p)
+    states = np.array([(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4])
+    gram = wavefunction_gram(states[:, 0], states[:, 1], p)
     dev = float(np.max(np.abs(gram - np.eye(len(states)))))
     ok &= dev < 1e-12
     details.append(f"gram {dev:.1e}")
 
     cases = [
-        (QuantumNumbers(0, 0), "a_dagger", 1.0),
-        (QuantumNumbers(1, 0), "a_dagger", math.sqrt(2.0)),
-        (QuantumNumbers(0, 1), "b_dagger", math.sqrt(2.0)),
-        (QuantumNumbers(1, 1), "b_dagger", math.sqrt(3.0)),
-        (QuantumNumbers(2, 0), "a", math.sqrt(2.0)),
-        (QuantumNumbers(1, 1), "b", math.sqrt(2.0)),
+        (0, 0, "a_dagger", 1.0),
+        (1, 0, "a_dagger", math.sqrt(2.0)),
+        (0, 1, "b_dagger", math.sqrt(2.0)),
+        (1, 1, "b_dagger", math.sqrt(3.0)),
+        (2, 0, "a", math.sqrt(2.0)),
+        (1, 1, "b", math.sqrt(2.0)),
     ]
-    dev = max(abs(ladder_action_check(q, which, p) - want) for q, which, want in cases)
+    dev = max(abs(ladder_action_check(n, ell, which, p) - want) for n, ell, which, want in cases)
     ok &= dev < 1e-11
     details.append(f"ladder {dev:.1e}")
 

@@ -31,7 +31,7 @@ def vdot_blocks(t: float, params: PhysicalParams, dim: int) -> tuple:
     q = math.exp(-params.beta * params.hbar * params.omega)
     n = np.arange(dim)
     c = math.sqrt(1.0 - q) * q ** (n / 2.0) * np.exp(-1j * params.omega * t * (n + 0.5))
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     mw = params.mass * params.omega
     x = math.sqrt(params.hbar / (2.0 * mw)) * (a + a.T)
     p = -1j * math.sqrt(params.hbar * mw / 2.0) * (a - a.T)
@@ -51,30 +51,30 @@ def rotated(dim: int) -> np.ndarray:
 
 class TestLadderMatrix:
     def test_small_annihilator(self):
-        a = ladder_matrix("a", 2)
+        a = ladder_matrix(2)
         assert np.array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_sqrt_n_rule(self):
-        a = ladder_matrix("a", 4)
+        a = ladder_matrix(4)
         assert a[2, 3] == pytest.approx(math.sqrt(3.0))
 
     def test_dagger_is_transpose(self):
-        a = ladder_matrix("a", 7)
-        ad = ladder_matrix("a_dagger", 7)
-        assert np.array_equal(ad, a.T)
+        # the creation matrix a^dag = a^T raises |n> to sqrt(n + 1) |n + 1>
+        ad = ladder_matrix(7).T
+        assert np.array_equal(ad, np.diag(np.sqrt(np.arange(1.0, 7)), k=-1))
 
     def test_commutator_truncation_edge(self):
         n = 9
-        a = ladder_matrix("a", n)
+        a = ladder_matrix(n)
         comm = a @ a.T - a.T @ a
         assert np.allclose(comm[: n - 1, : n - 1], np.eye(n - 1), atol=1e-14)
         assert comm[n - 1, n - 1] == pytest.approx(-(n - 1))
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
-            ladder_matrix("a", 1)
+            ladder_matrix(1)
         with pytest.raises(ValueError):
-            ladder_matrix("x", 4)
+            ladder_matrix(129)
 
 
 class TestHamiltonian:
@@ -84,7 +84,7 @@ class TestHamiltonian:
 
     def test_commutes_with_number(self):
         h = hamiltonian_matrix(8, PhysicalParams(omega=0.3, beta=1.0))
-        a = ladder_matrix("a", 8)
+        a = ladder_matrix(8)
         num = a.T @ a
         assert np.max(np.abs(h @ num - num @ h)) == 0.0
 
@@ -98,7 +98,7 @@ class TestHamiltonian:
     def test_matches_ladder_construction(self):
         p = PhysicalParams(hbar=2.0, omega=0.7, beta=1.0)
         h = hamiltonian_matrix(10, p)
-        a = ladder_matrix("a", 10)
+        a = ladder_matrix(10)
         built = p.hbar * p.omega * (a.T @ a + 0.5 * np.eye(10))
         assert np.max(np.abs(h - built)) < 1e-15
 
@@ -220,10 +220,10 @@ class TestCovarianceOracle:
 
 def dense_commutator_report(dim: int) -> list:
     """Reference: the two-mode checks on dense N'^2 x N'^2 Kronecker products, |n, k> at index n*N' + k."""
-    a = ladder_matrix("a", dim)
+    a = ladder_matrix(dim)
     comm = a @ a.T - a.T @ a
     dt = min(dim, 16)
-    a_1 = ladder_matrix("a", dt)
+    a_1 = ladder_matrix(dt)
     a_l, b_r = np.kron(a_1, np.eye(dt)), np.kron(np.eye(dt), a_1)
     n, k = np.divmod(np.arange(dt * dt), dt)
     interior = k < dt - 1

@@ -12,7 +12,6 @@ from scipy.integrate import dblquad
 from landau_tfd import landau
 from landau_tfd import (
     PhysicalParams,
-    QuantumNumbers,
     angular_momentum_action,
     energy,
     ladder_action_check,
@@ -24,6 +23,8 @@ from landau_tfd import (
 )
 
 PARAMS = PhysicalParams(hbar=1.0, mass=1.0, omega=1.0, omega_ref=1.0, beta=1.0)
+# the (n, ell) rows of the states with n + |ell| <= 4
+STATES = np.array([(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4])
 
 
 def laguerre_exact(n: int, ell: int, r: Fraction) -> Fraction:
@@ -92,6 +93,16 @@ class TestLaguerre:
             laguerre(2, -1, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, 0, -0.5)
+
+    @pytest.mark.parametrize(
+        "n,r",
+        [(3, np.inf), (np.array([1, 3]), np.array([np.inf, 0.1])), (1, np.nan)],
+        ids=["inf", "mixed-n-inf", "nan"],
+    )
+    def test_rejects_non_finite_r(self, n, r):
+        # the recurrence meets inf - inf at r = inf and would carry a NaN through
+        with pytest.raises(ValueError, match="r must be finite and non-negative"):
+            laguerre(n, 0, r)
 
 
 class TestEnergy:
@@ -175,58 +186,48 @@ class TestWavefunction:
     def test_origin_value(self):
         lam = length_scale(PARAMS)
         assert lam == pytest.approx(math.sqrt(2.0))
-        got = wavefunction(QuantumNumbers(0, 0), 0.0, 0.0, PARAMS)
+        got = wavefunction(0, 0, 0.0, 0.0, PARAMS)
         assert got == pytest.approx(1.0 / (lam * math.sqrt(math.pi)))
 
     def test_phase_only_phi_dependence(self):
-        q = QuantumNumbers(2, 1)
         for rho in (0.3, 1.1, 2.4):
-            mags = {abs(wavefunction(q, rho, phi, PARAMS)) for phi in (0.0, 1.0, 4.5)}
+            mags = {abs(wavefunction(2, 1, rho, phi, PARAMS)) for phi in (0.0, 1.0, 4.5)}
             assert max(mags) - min(mags) < 1e-15
 
     def test_normalization_by_adaptive_quadrature(self):
-        q = QuantumNumbers(2, 1)
         lam = length_scale(PARAMS)
 
         def density(rho, phi):
-            return abs(wavefunction(q, rho, phi, PARAMS)) ** 2 * rho
+            return abs(wavefunction(2, 1, rho, phi, PARAMS)) ** 2 * rho
 
         val, err = dblquad(density, 0.0, 2.0 * math.pi, 0.0, 15.0, epsabs=1e-11)
         assert lam**2 * val == pytest.approx(1.0, abs=1e-9)
 
-    def test_invalid_quantum_numbers(self):
-        with pytest.raises(ValueError):
-            QuantumNumbers(1, -2)
-        with pytest.raises(ValueError):
-            QuantumNumbers(-1, 0)
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and non-negative"):
+            wavefunction(0, 0, rho, 0.0, PARAMS)
 
     def test_negative_ell_norm(self):
         # the ell < 0 states map onto conjugated positive-ell states
-        q = QuantumNumbers(3, -2)
-        plus = wavefunction(QuantumNumbers(1, 2), 0.8, 0.4, PARAMS)
-        minus = wavefunction(q, 0.8, 0.4, PARAMS)
+        plus = wavefunction(1, 2, 0.8, 0.4, PARAMS)
+        minus = wavefunction(3, -2, 0.8, 0.4, PARAMS)
         assert minus == pytest.approx(np.conjugate(plus), rel=1e-13)
 
     def test_gram_identity(self):
-        states = [
-            QuantumNumbers(n, ell)
-            for n in range(5)
-            for ell in range(-n, 5 - n)
-            if n + abs(ell) <= 4
-        ]
-        gram = wavefunction_gram(states, PARAMS)
-        assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-12
+        gram = wavefunction_gram(*STATES.T, PARAMS)
+        assert np.max(np.abs(gram - np.eye(len(STATES)))) < 1e-12
 
     @pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(omega=0.3, mass=2.0)], ids=["unit", "scaled"])
     def test_stacked_gram_matches_per_state_construction(self, params):
-        states = [QuantumNumbers(n, ell) for n in range(5) for ell in range(-n, 5 - n) if n + abs(ell) <= 4]
+        states = STATES.tolist()
         rho, w, _ = landau._radial_rule()
         phi = landau._phi_grid(4)
         # samples[state, rho, phi], one wavefunction call per state
-        per_state = np.array([wavefunction(q, rho[:, None], phi, params) for q in states])
+        per_state = np.array([wavefunction(n, ell, rho[:, None], phi, params) for n, ell in states])
         lam = length_scale(params)
         dphi_lam2 = 2.0 * math.pi / len(phi) * lam * lam
-        gram = wavefunction_gram(states, params)
+        gram = wavefunction_gram(*STATES.T, params)
         flat = per_state.reshape(len(states), -1)
         weighted = flat.conj() * np.repeat(w * rho, len(phi))
         assert np.max(np.abs(gram - weighted @ flat.T * dphi_lam2)) <= 1e-15
@@ -238,41 +239,47 @@ class TestWavefunction:
 class TestLadderOracle:
     def test_annihilation_of_vacuum(self):
         with pytest.warns(RuntimeWarning, match=r"a annihilates the state \(n, ell\) = \(0, 0\)"):
-            assert ladder_action_check(QuantumNumbers(0, 0), "a", PARAMS) == 0.0
+            assert ladder_action_check(0, 0, "a", PARAMS) == 0.0
         with pytest.warns(RuntimeWarning, match=r"b annihilates the state \(n, ell\) = \(1, -1\)"):
-            assert ladder_action_check(QuantumNumbers(1, -1), "b", PARAMS) == 0.0
+            assert ladder_action_check(1, -1, "b", PARAMS) == 0.0
 
     def test_a_dagger_coefficient(self):
-        got = ladder_action_check(QuantumNumbers(1, 0), "a_dagger", PARAMS)
+        got = ladder_action_check(1, 0, "a_dagger", PARAMS)
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_b_dagger_coefficient(self):
-        got = ladder_action_check(QuantumNumbers(0, 2), "b_dagger", PARAMS)
+        got = ladder_action_check(0, 2, "b_dagger", PARAMS)
         assert got == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_lowering_coefficients(self):
-        assert ladder_action_check(QuantumNumbers(2, 0), "a", PARAMS) == pytest.approx(
+        assert ladder_action_check(2, 0, "a", PARAMS) == pytest.approx(
             math.sqrt(2.0), abs=1e-12
         )
-        assert ladder_action_check(QuantumNumbers(1, 1), "b", PARAMS) == pytest.approx(
+        assert ladder_action_check(1, 1, "b", PARAMS) == pytest.approx(
             math.sqrt(2.0), abs=1e-12
         )
 
     def test_state_beyond_the_radial_rule_warns_once(self):
         # (30, 0) has 1.7e-5 of its norm beyond rho = 12, and its a_dagger coefficient errs by 2.3e-4
         with pytest.warns(RuntimeWarning, match=r"\(n, ell\) = \(30, 0\) has norm deficit 1\.70\de-05") as caught:
-            ladder_action_check(QuantumNumbers(30, 0), "a_dagger", PARAMS)
+            ladder_action_check(30, 0, "a_dagger", PARAMS)
+        assert len(caught) == 1
+
+    def test_numpy_integer_state_warns_as_plain_integers(self):
+        # numpy 2 prints a tuple of numpy integers as (np.int64(30), np.int64(0)); the warning shows each label alone
+        with pytest.warns(RuntimeWarning, match=r"state \(n, ell\) = \(30, 0\) has norm deficit 1\.70\de-05") as caught:
+            ladder_action_check(np.int64(30), np.int64(0), "a_dagger", PARAMS)
         assert len(caught) == 1
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
-            ladder_action_check(QuantumNumbers(1, 0), "c", PARAMS)
+            ladder_action_check(1, 0, "c", PARAMS)
 
 
 class TestAngularMomentum:
     @pytest.mark.parametrize("n,ell", [(0, 0), (1, 3), (2, -1), (0, 2)])
     def test_eigenvalue(self, n, ell):
-        got = angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
+        got = angular_momentum_action(n, ell, PARAMS)
         assert got == pytest.approx(ell, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -282,8 +289,26 @@ class TestAngularMomentum:
         # eigenvalues off by 1.8e-3, 5.4e-7 and 3.7e-8: the states do not vanish by rho = 12
         match = rf"\(n, ell\) = \({n}, {ell}\) has norm deficit {deficit}"
         with pytest.warns(RuntimeWarning, match=match) as caught:
-            angular_momentum_action(QuantumNumbers(n, ell), PARAMS)
+            angular_momentum_action(n, ell, PARAMS)
         assert len(caught) == 1
+
+
+# each entry point of the Landau oracle, called on the state (n, ell)
+ENTRY_POINTS = {
+    "wavefunction": lambda n, ell: wavefunction(n, ell, 1.0, 0.0, PARAMS),
+    "wavefunction_gram": lambda n, ell: wavefunction_gram(np.array([0, n]), np.array([0, ell]), PARAMS),
+    "ladder_action_check": lambda n, ell: ladder_action_check(n, ell, "a_dagger", PARAMS),
+    "angular_momentum_action": lambda n, ell: angular_momentum_action(n, ell, PARAMS),
+}
+
+
+@pytest.mark.parametrize(
+    "n,ell,message", [(-1, 0, "n must be non-negative"), (1, -2, "ell must satisfy ell >= -n")], ids=["n-1", "ell-2"]
+)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_invalid_state_is_rejected(entry, n, ell, message):
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](n, ell)
 
 
 # |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4
@@ -298,21 +323,21 @@ class TestHighAngularMomentum:
     def test_ladder_coefficient(self, which, ell):
         n = max(0, -ell) + 1  # k = n + ell >= 1, so b has a target
         want = {"b_dagger": math.sqrt(n + ell + 1), "b": math.sqrt(n + ell), "a_dagger": math.sqrt(n + 1)}[which]
-        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-12)
+        assert ladder_action_check(n, ell, which, PARAMS) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("ell", HIGH_ELL)
     def test_angular_momentum(self, ell):
-        assert angular_momentum_action(QuantumNumbers(max(0, -ell), ell), PARAMS) == pytest.approx(ell, abs=1e-12)
+        assert angular_momentum_action(max(0, -ell), ell, PARAMS) == pytest.approx(ell, abs=1e-12)
 
     @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
     @pytest.mark.parametrize("which", ["a_dagger", "b_dagger"])
     def test_high_level_ladder_coefficient(self, which, n, ell):
         want = {"a_dagger": math.sqrt(n + 1), "b_dagger": math.sqrt(n + ell + 1)}[which]
-        assert ladder_action_check(QuantumNumbers(n, ell), which, PARAMS) == pytest.approx(want, abs=1e-11)
+        assert ladder_action_check(n, ell, which, PARAMS) == pytest.approx(want, abs=1e-11)
 
     @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
     def test_high_level_angular_momentum(self, n, ell):
-        assert angular_momentum_action(QuantumNumbers(n, ell), PARAMS) == pytest.approx(ell, abs=1e-11)
+        assert angular_momentum_action(n, ell, PARAMS) == pytest.approx(ell, abs=1e-11)
 
 
 def test_import_does_not_load_scipy():

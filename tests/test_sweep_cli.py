@@ -42,6 +42,15 @@ from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
 
 
+# row counts whose arrays exceed any address space: numpy refuses each allocation before touching memory
+OVERSIZED = [
+    ["--mode", "time-series", "--samples", str(10**17)],
+    ["--mode", "time-series", "--samples", str(10**18)],
+    ["--mode", "beta-sweep", "--range", f"1:2:{10**18}:log"],
+    ["--mode", "lloyd", "--range", f"1:2:{10**17}"],
+]
+
+
 def small_config(mode: str, **kw) -> SweepConfig:
     defaults = dict(
         params=PhysicalParams(omega=0.5, omega_ref=1.0, beta=2.0),
@@ -408,8 +417,8 @@ class TestVerify:
     def test_gram_check_catches_off_diagonal_error(self, monkeypatch):
         exact = landau.wavefunction_gram
 
-        def perturbed(states, params):
-            gram = exact(states, params)
+        def perturbed(n, ell, params):
+            gram = exact(n, ell, params)
             gram[0, 1] += 1e-10
             return gram
 
@@ -544,6 +553,7 @@ class TestCli:
             ["--mode", "lloyd", "--hbar", "1e-300", "--omega", "1e-300"],
             ["--mode", "verify", "--hbar", "1e-300", "--omega", "1e-300"],
             ["--mode", "time-series", "--omega", "1e-305", "--beta", "inf"],
+            *OVERSIZED,
         ],
         ids=[
             "fock-dim-200",
@@ -563,6 +573,10 @@ class TestCli:
             "lloyd-grid-subnormal",
             "verify-hbar-omega-underflow",
             "omega-ratio-beyond-e700",
+            "samples-1e17",
+            "samples-1e18",
+            "beta-sweep-count-1e18",
+            "lloyd-count-1e17",
         ],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
@@ -622,8 +636,16 @@ def _argv(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(argv=_argv())
 @example(argv=["--mode", "verify", "--hbar", "1e-300", "--omega", "1e-300"])
+@example(argv=OVERSIZED[0])
+@example(argv=OVERSIZED[1])
+@example(argv=OVERSIZED[2])
+@example(argv=OVERSIZED[3])
 def test_cli_never_raises(argv):
-    """Any argv returns a documented exit code and raises nothing; every count drawn is <= 64, so runs stay small."""
+    """Any argv returns a documented exit code and raises nothing.
+
+    Every count drawn is <= 64, so runs stay small; the oversized examples
+    ask for more memory than any address space, so numpy refuses them at once.
+    """
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
