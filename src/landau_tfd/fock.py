@@ -67,8 +67,8 @@ class OracleReport:
 
 
 def _check_dim(dim: int) -> None:
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"truncation size must be in [2, {MAX_DIM}] (the dense-matrix cap), got {dim}")
+    if not (isinstance(dim, (int, np.integer)) and 2 <= dim <= MAX_DIM):
+        raise ValueError(f"truncation size must be an integer in [2, {MAX_DIM}] (the dense-matrix cap), got {dim!r}")
 
 
 def ladder_matrix(dim: int) -> np.ndarray:

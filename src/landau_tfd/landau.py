@@ -40,9 +40,19 @@ _RHO_NODES = 96
 _NORM_TOL = 1e-12
 
 
+def _integers(**labels) -> tuple:
+    """Each label as an array, checked to hold integers: a recurrence step never equals a non-integer n."""
+    out = tuple(np.asarray(x) for x in labels.values())
+    for name, x in zip(labels, out):
+        # an integer array passes on its dtype alone; the oracles call this on every state they evaluate
+        if x.dtype.kind not in "iub" and not np.all(np.isfinite(x) & (x == np.trunc(x))):
+            raise ValueError(f"{name} must be an integer, got {x}")
+    return out
+
+
 def _states(n, ell) -> tuple:
-    """n and ell as arrays, checked as labels of Landau states: principal n >= 0 and magnetic ell >= -n."""
-    n, ell = np.asarray(n), np.asarray(ell)
+    """n and ell as arrays, checked as labels of Landau states: integers, principal n >= 0 and magnetic ell >= -n."""
+    n, ell = _integers(n=n, ell=ell)
     if (n < 0).any():
         raise ValueError(f"n must be non-negative, got {n}")
     if (ell < -n).any():
@@ -57,8 +67,9 @@ def laguerre(n, ell, r):
     is unstable for n beyond ~15.  n, ell and r broadcast: each element
     takes its value at step n of one recurrence run to the largest n, and
     runs on zeros after that, so the steps it does not use cannot overflow.
+    n and ell must be integers.
     """
-    n, ell = np.asarray(n), np.asarray(ell)
+    n, ell = _integers(n=n, ell=ell)
     if (n < 0).any():
         raise ValueError(f"n must be non-negative, got {n}")
     if (ell < 0).any():
@@ -68,7 +79,7 @@ def laguerre(n, ell, r):
         raise ValueError("r must be finite and non-negative")
     prev, cur = 1.0, (ell + 1.0) - r
     out = np.where(n == 0, prev, cur)
-    for j in range(1, int(n.max())):
+    for j in range(1, int(n.max(initial=0))):
         live = n > j
         prev, cur = np.where(live, prev, 0.0), np.where(live, cur, 0.0)
         prev, cur = cur, ((2.0 * j + ell + 1.0 - r) * cur - (j + ell) * prev) / (j + 1.0)
@@ -76,11 +87,11 @@ def laguerre(n, ell, r):
     return out if out.ndim else float(out)
 
 
-def energy(n: int, params: PhysicalParams) -> float:
-    """Landau-level energy hbar*omega*(n + 1/2); degenerate in ell."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return params.hbar * params.omega * (n + 0.5)
+def energy(n, params: PhysicalParams):
+    """Landau-level energies hbar*omega*(n + 1/2), degenerate in ell; n broadcasts."""
+    n, _ = _states(n, 0)
+    val = params.hbar * params.omega * (n + 0.5)
+    return val if val.ndim else float(val)
 
 
 def length_scale(params: PhysicalParams) -> float:
@@ -145,10 +156,10 @@ def laguerre_norm_integral(n, m, ell):
     count is exact on the largest polynomial degree n + m + ell in the
     call.  Compare against (n+ell)!/n! * delta_nm.
     """
-    n, m, ell = np.asarray(n), np.asarray(m), np.asarray(ell)
+    n, m, ell = _integers(n=n, m=m, ell=ell)
     if (n < 0).any() or (m < 0).any() or (ell < 0).any():
         raise ValueError("n, m, ell must all be non-negative")
-    nodes = int((n + m + ell).max()) // 2 + 1
+    nodes = int((n + m + ell).max(initial=0)) // 2 + 1
     if nodes > _MAX_QUAD_NODES:
         raise ValueError(
             f"quadrature order {nodes} exceeds the supported maximum {_MAX_QUAD_NODES}"
@@ -166,14 +177,14 @@ def wavefunction_gram(n, ell, params: PhysicalParams) -> np.ndarray:
     Gauss-Legendre in rho (the radial rule) and trapezoid in phi
     (periodic, spectrally accurate): all states are evaluated in one
     stacked call and projected by one weighted matmul.  Orthonormal
-    states give the identity.
+    states give the identity, and no states a (0, 0) matrix.
     """
     n, ell = _states(n, ell)
     n, ell = n[:, None, None], ell[:, None, None]
     rho, w, _ = _radial_rule()
-    phi = _phi_grid(int(np.max(np.abs(ell))))
+    phi = _phi_grid(int(np.max(np.abs(ell), initial=0)))
     # samples[state, rho * phi]
-    samples = wavefunction(n, ell, rho[:, None], phi, params).reshape(len(n), -1)
+    samples = wavefunction(n, ell, rho[:, None], phi, params).reshape(len(n), len(rho) * len(phi))
     weighted = np.conjugate(samples) * np.repeat(w * rho, len(phi))
     lam = length_scale(params)
     return weighted @ samples.T * (2.0 * math.pi / len(phi) * lam * lam)

@@ -173,7 +173,9 @@ def _cells(v: np.ndarray, json_: bool) -> list:
         # bools print as 0/1 in CSV
         return list(map(("false", "true").__getitem__ if json_ else "%d".__mod__, v.tolist()))
     if not json_:
-        return list(map("%.17g".__mod__, v.tolist()))
+        from . import _g17  # compiled and loaded on the first CSV write, not at import
+
+        return _g17.cells(v)
     cells = list(map(repr, v.tolist()))
     # JSON has no Infinity literal; keep output loadable everywhere
     for i in np.flatnonzero(~np.isfinite(v)):

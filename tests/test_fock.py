@@ -76,6 +76,22 @@ class TestLadderMatrix:
         with pytest.raises(ValueError):
             ladder_matrix(129)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ladder_matrix(4.0),
+            lambda: hamiltonian_matrix(4.5, params_with(1.0)),
+            lambda: tfd_a_sector_state(0.0, params_with(1.0), 4.5),
+        ],
+        ids=["ladder_matrix", "hamiltonian_matrix", "tfd_a_sector_state"],
+    )
+    def test_non_integer_dim(self, call):
+        with pytest.raises(ValueError, match=r"truncation size must be an integer in \[2, 128\]"):
+            call()
+
+    def test_numpy_integer_dim(self):
+        assert np.array_equal(ladder_matrix(np.int64(5)), ladder_matrix(5))
+
 
 class TestHamiltonian:
     def test_diagonal_spectrum(self):

@@ -122,6 +122,11 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy(-1, PARAMS)
 
+    def test_broadcasts_over_n(self):
+        p = PARAMS.with_(omega=2.0)
+        assert np.array_equal(energy(np.array([[0], [3]]), p), [[1.0], [7.0]])
+        assert energy(np.array([], dtype=int), p).shape == (0,)
+
 
 class TestNormIntegral:
     def test_pure_exponential(self):
@@ -218,6 +223,10 @@ class TestWavefunction:
         gram = wavefunction_gram(*STATES.T, PARAMS)
         assert np.max(np.abs(gram - np.eye(len(STATES)))) < 1e-12
 
+    def test_gram_of_no_states_is_empty(self):
+        empty = np.array([], dtype=int)
+        assert wavefunction_gram(empty, empty, PARAMS).shape == (0, 0)
+
     @pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(omega=0.3, mass=2.0)], ids=["unit", "scaled"])
     def test_stacked_gram_matches_per_state_construction(self, params):
         states = STATES.tolist()
@@ -303,12 +312,42 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "n,ell,message", [(-1, 0, "n must be non-negative"), (1, -2, "ell must satisfy ell >= -n")], ids=["n-1", "ell-2"]
+    "n,ell,message",
+    [
+        (-1, 0, "n must be non-negative"),
+        (1, -2, "ell must satisfy ell >= -n"),
+        (1.5, 0, "n must be an integer"),
+        (1, 0.5, "ell must be an integer"),
+    ],
+    ids=["n-1", "ell-2", "n1.5", "ell0.5"],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_invalid_state_is_rejected(entry, n, ell, message):
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](n, ell)
+
+
+# the level and polynomial entry points, each with one label that is not an integer; no recurrence step
+# equals a non-integer n, so without the check each would return the value of some other level
+NON_INTEGER_LABEL = {
+    "laguerre-n": (lambda: laguerre(1.5, 0, 0.3), "n"),
+    "laguerre-n-nan": (lambda: laguerre(np.array([1.0, np.nan]), 0, 0.3), "n"),
+    "laguerre-ell": (lambda: laguerre(1, 0.5, 0.3), "ell"),
+    "laguerre_norm_integral": (lambda: laguerre_norm_integral(1, 1.5, 0), "m"),
+    "energy": (lambda: energy(1.5, PARAMS), "n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_LABEL))
+def test_non_integer_label_is_rejected(case):
+    call, name = NON_INTEGER_LABEL[case]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_integral_float_labels_are_accepted():
+    assert laguerre(2.0, 1.0, 0.3) == laguerre(2, 1, 0.3)
+    assert energy(3.0, PARAMS) == energy(3, PARAMS)
 
 
 # |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4

@@ -36,7 +36,7 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
-from landau_tfd import landau, sweep
+from landau_tfd import _g17, landau, sweep
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -376,6 +376,80 @@ class TestChunkedSerialization:
         path = tmp_path / "table"
         assert main([*argv, "--out", str(path)]) == 0
         assert path.read_bytes() == stdout.encode()
+
+
+def python_cells(x: np.ndarray) -> list:
+    return ["%.17g" % v for v in x.tolist()]
+
+
+def mismatches(x: np.ndarray) -> list:
+    """The first few (value, array cell, Python cell) where _g17.cells differs from '%.17g' %."""
+    got, want = _g17.cells(x), python_cells(x)
+    assert len(got) == len(want)
+    return [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
+
+
+def with_neighbours(x: np.ndarray) -> np.ndarray:
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+# a double from its sign, biased exponent and mantissa fields: the exponent 0 gives the zeros and the
+# subnormals, 2047 the infinities and the NaNs
+_DOUBLE_BITS = st.tuples(st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1)).map(
+    lambda f: f[0] << 63 | f[1] << 52 | f[2]
+)
+
+
+class TestExactCells:
+    """Every CSV float cell is '%.17g' % x, byte for byte, whether the array pass or the fallback writes it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(bits=st.lists(_DOUBLE_BITS, min_size=1, max_size=40))
+    @example(bits=[0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1, (1 << 63) | 1, 2**52 - 1])
+    def test_raw_bit_patterns(self, bits):
+        assert mismatches(np.array(bits, dtype=np.uint64).view(np.float64)) == []
+
+    def test_uniform_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        assert mismatches(bits.view(np.float64)) == []
+
+    def test_powers_of_two(self):
+        assert mismatches(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))) == []
+
+    def test_dyadic_fractions(self):
+        # k * 2^-j has an exact decimal expansion of up to j digits, so 17-digit rounding meets exact ties
+        x = (np.arange(1, 1025)[:, None] * np.ldexp(1.0, -np.arange(61))).ravel()
+        assert np.count_nonzero(~_g17.digits17(x)[2]) > 1000  # the ties and their near misses
+        assert mismatches(np.concatenate([x, -x])) == []
+
+    def test_powers_of_ten(self):
+        # 10^q and its two neighbours, where floor(log10 |x|) may round to the next power
+        assert mismatches(with_neighbours(np.array([float(f"1e{q}") for q in range(-300, 300)]))) == []
+
+    def test_integers_near_two_to_the_53(self):
+        ints = np.arange(2**53 - 1000, 2**53 + 1000).astype(float)
+        assert mismatches(np.concatenate([ints * 2.0**j for j in range(5)])) == []
+
+    def test_every_fixed_and_exponent_form(self):
+        # each k from -6 to 20 and beyond, with every count of kept digits from 1 to 17
+        digits = np.array([int("123456789" * 2) // 10 ** (17 - m) * 10 ** (17 - m) for m in range(1, 18)], dtype=float)
+        x = (digits[:, None] * 10.0 ** (np.arange(-300, 300) - 16.0)).ravel()
+        assert mismatches(with_neighbours(x)) == []
+
+    def test_tie_falls_back(self):
+        # 2^-25 = 2.98023223876953125e-08 has 18 digits and ends in 5: round half to even gives ...812
+        x = np.array([2.0**-25, 1.5, 0.1])
+        assert _g17.digits17(x)[2].tolist() == [False, True, True]
+        assert _g17.cells(x) == ["2.9802322387695312e-08", "1.5", "0.10000000000000001"]
+
+    def test_array_pass_writes_the_time_series(self):
+        # the fallback is a guard for single values, not a second writer
+        table = run_time_series(small_config("time-series", betas=(math.inf, 2.0), samples_per_period=_CHUNK))
+        x = np.concatenate(table.values)
+        exact = _g17.digits17(x)[2]
+        assert np.count_nonzero(~exact) <= np.count_nonzero(x == 0.0) + 2
+        assert mismatches(x) == []
 
 
 class TestVerify:
