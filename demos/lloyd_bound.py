@@ -21,14 +21,15 @@ print(f"{'beta':>10s} {'U':>12s} {'max |dC/dt|':>14s} {'2U/(pi hbar)':>14s}  sta
 violated = False
 for beta in np.logspace(-2, 2, 9):
     p = PhysicalParams(omega=omega, omega_ref=omega_ref, beta=float(beta))
-    res = lloyd_check(p)
-    status = "satisfied" if res.satisfied else "VIOLATED"
-    violated |= not res.satisfied
-    print(f"{beta:10.3g} {internal_energy(p):12.5f} {res.max_rate:14.6f} {res.bound:14.6f}  {status}")
+    max_rate, bound, _ = lloyd_check(p)
+    ok = max_rate <= bound
+    status = "satisfied" if ok else "VIOLATED"
+    violated |= not ok
+    print(f"{beta:10.3g} {internal_energy(p):12.5f} {max_rate:14.6f} {bound:14.6f}  {status}")
 
 # hotter states have more internal energy, so the bound loosens much
 # faster than the actual maximum rate grows: the bound is never tight
 p = PhysicalParams(omega=omega, omega_ref=omega_ref, beta=0.01)
-res = lloyd_check(p)
-print(f"\nslack at the hottest point: bound/max_rate = {res.bound / res.max_rate:.1f}x")
+max_rate, bound, _ = lloyd_check(p)
+print(f"\nslack at the hottest point: bound/max_rate = {bound / max_rate:.1f}x")
 sys.exit(1 if violated else 0)

@@ -2,7 +2,6 @@
 
 from .complexity import (
     LN6,
-    LloydResult,
     PhysicalParams,
     alpha_of,
     asymptotic_amplitude,
@@ -14,7 +13,6 @@ from .complexity import (
     internal_energy,
     lloyd_check,
     oscillation_amplitude,
-    partition_function,
     relative_spectrum,
 )
 from .fock import (

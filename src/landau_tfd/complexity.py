@@ -26,9 +26,7 @@ _LLOYD_SAMPLES = 257
 __all__ = [
     "LN6",
     "PhysicalParams",
-    "LloydResult",
     "alpha_of",
-    "partition_function",
     "internal_energy",
     "covariance_g",
     "relative_spectrum",
@@ -92,14 +90,6 @@ class PhysicalParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class LloydResult:
-    max_rate: float
-    bound: float
-    satisfied: bool
-    argmax_t: float
-
-
 def _bho(params: PhysicalParams) -> float:
     # an overflow to inf is the valid zero-temperature limit
     with np.errstate(over="ignore"):
@@ -125,11 +115,6 @@ def alpha_of(params: PhysicalParams) -> tuple:
     x = 0.5 * _bho(params)
     two_a, sinh2a = _squeezing(x)
     return 0.5 * two_a, 1.0 / np.tanh(x), sinh2a
-
-
-def partition_function(params: PhysicalParams):
-    """Thermal partition function, 1/(4 sinh(beta hbar omega / 2)); exactly 0 at beta = inf."""
-    return 0.25 * _squeezing(0.5 * _bho(params))[1]
 
 
 def internal_energy(params: PhysicalParams):
@@ -319,79 +304,83 @@ def oscillation_amplitude(params: PhysicalParams):
     return np.where(half_s2 > 0.0, amp, 0.0)[()]
 
 
-def _warn_regime(condition, regime: str, detail: str) -> None:
-    if not np.all(condition):
-        warnings.warn(f"parameters outside the {regime} regime ({detail})", RuntimeWarning)
-
-
 def _log_ratio_factor(u):
     """u coth u, with its limit 1 at u = 0."""
     with np.errstate(invalid="ignore"):
         return np.where(u == 0.0, 1.0, u / np.tanh(u))
 
 
-def asymptotic_complexity(regime: str, t, params: PhysicalParams):
-    """Closed-form asymptotic expansions of the complexity.
-
-    Regimes: low_T, high_T, equal_freq_low_T, equal_freq_high_T,
-    high_freq, low_freq.  A regime mismatch at any point warns but still
-    evaluates.  t, beta and omega broadcast like ``complexity``.
-    """
-    w, wr = params.omega, params.omega_ref
+def _regime(regime: str, params: PhysicalParams) -> tuple:
+    """beta hbar omega and u = ln(omega_ref/omega); warns where a point lies outside the regime."""
     bho = _bho(params)
-    u = np.log(wr) - np.log(w)
-    c, s = np.cos(w * t), np.sin(w * t)
+    u = np.log(params.omega_ref) - np.log(params.omega)
     if regime == "low_T":
-        _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
-        base = np.sqrt(LN6 * LN6 + 2.0 * u * u)
-        out = base + (2.0 * np.exp(-bho) / base) * (c * c + _log_ratio_factor(u) * s * s)
+        inside, domain = bho > 1.0, "needs beta*hbar*omega >> 1; error O(e^{-2 beta hbar omega})"
     elif regime == "high_T":
-        _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
-        # ln 4 + (1/2) log1p(y^2) with y = sinh u sin(omega t), as ln 4 + ln hypot(1, y)
-        out = -np.log(bho) + np.log(4.0 * np.hypot(1.0, np.sinh(u) * s))
-    elif regime == "equal_freq_low_T":
-        _warn_regime((bho > 1.0) & (w == wr), regime, "needs omega_ref=omega, beta*hbar*omega >> 1")
-        out = LN6 + 2.0 * np.exp(-bho) / LN6
-    elif regime == "equal_freq_high_T":
-        _warn_regime((bho < 1.0) & (w == wr), regime, "needs omega_ref=omega, beta*hbar*omega << 1")
-        lead = np.log(4.0 / bho)
-        out = lead + LN6 * LN6 / (2.0 * lead)
-    elif regime == "high_freq":
-        delta = w / wr
-        _warn_regime((delta > 1.0) & (bho > 1.0), regime, "needs omega/omega_ref >> 1 at low T")
-        ld = np.log(delta)
-        out = math.sqrt(2.0) * ld + LN6 * LN6 / (2.0 * math.sqrt(2.0) * ld)
-    elif regime == "low_freq":
-        delta = w / wr
-        _warn_regime((delta < 1.0) & (bho < 1.0), regime, "needs omega/omega_ref << 1 at high T")
-        inner = np.sqrt(s * s + 2.0 * delta * delta * (1.0 + c * c))
-        out = -np.log(bho) + np.log(2.0 * inner / delta)
+        with np.errstate(over="ignore"):
+            inside = bho * np.exp(np.abs(u)) < 1.0
+        domain = "needs beta*hbar*omega*e^{|u|} << 1; error O(1/L^2), L = ln(4/(beta*hbar*omega))"
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    # a regime free of t or beta still has the broadcast shape of t, beta and omega
-    return out * np.ones(np.broadcast(c, bho, u).shape)
+    if not np.all(inside):
+        warnings.warn(f"parameters outside the {regime} regime ({domain})", RuntimeWarning)
+    return bho, u
+
+
+def asymptotic_complexity(regime: str, t, params: PhysicalParams):
+    """Asymptotic expansions of the complexity in temperature, with u = ln(omega_ref/omega).
+
+    low_T, for beta hbar omega >> 1 at any u, with error O(e^{-2 beta hbar omega}):
+
+        C ~ c_0 + (2 e^{-beta hbar omega} / c_0) (cos^2 omega t + u coth u sin^2 omega t),
+        c_0 = sqrt(ln^2 6 + 2 u^2),
+
+    whose leading term is exact at beta = inf.  high_T, for
+    beta hbar omega e^{|u|} << 1, with error O(1/L^2) and L = ln(4 / beta hbar omega):
+
+        C ~ L + ln(1 + y^2) / 2 + (ln^2 6 + u^2 + q^2) / (2L),  y = sinh u sin omega t,
+        q = ln((cos^2 phi + e^{-2|u|} sin^2 phi) / (sin^2 phi + e^{-2|u|} cos^2 phi)) / 2,  phi = omega t / 2.
+
+    In the variables of ``_kernel``, asinh r = L/2 + p for both pairs,
+    up to terms of order beta hbar omega e^{|u|}, with
+    p_c + p_s = ln(1 + y^2)/2 and p_c - p_s = q; expanding
+    C = sqrt(ln^2 6 + u^2 + 2 (a_c^2 + a_s^2)) in 1/L gives the terms above.  At u = 0 the two regimes reduce to
+    the equal-frequency forms ln 6 + 2 e^{-beta hbar omega} / ln 6 and
+    L + ln^2 6 / (2L).  A point outside the regime warns but still
+    evaluates.  t, beta and omega broadcast like ``complexity``.
+    """
+    bho, u = _regime(regime, params)
+    wt = params.omega * t
+    if regime == "low_T":
+        c_0 = np.sqrt(LN6 * LN6 + 2.0 * u * u)
+        c, s = np.cos(wt), np.sin(wt)
+        return c_0 + (2.0 * np.exp(-bho) / c_0) * (c * c + _log_ratio_factor(u) * s * s)
+    big_l = math.log(4.0) - np.log(bho)
+    # 2 ln|cos phi| and 2 ln|sin phi|; logaddexp keeps q finite where e^{-2|u|} underflows at sin phi = 0
+    with np.errstate(divide="ignore"):
+        l_c, l_s = 2.0 * np.log(np.abs(np.cos(0.5 * wt))), 2.0 * np.log(np.abs(np.sin(0.5 * wt)))
+    two_u = 2.0 * np.abs(u)
+    q = 0.5 * (np.logaddexp(l_c, l_s - two_u) - np.logaddexp(l_s, l_c - two_u))
+    return big_l + np.log(np.hypot(1.0, np.sinh(u) * np.sin(wt))) + (LN6 * LN6 + u * u + q * q) / (2.0 * big_l)
 
 
 def asymptotic_amplitude(regime: str, params: PhysicalParams):
-    """Asymptotic expansions of the oscillation amplitude.
+    """Asymptotic expansions of the oscillation amplitude, in the regimes of ``asymptotic_complexity``.
 
-    Regimes: low_T, high_T, high_freq.  beta and omega in params may be arrays.
+    low_T is C(T/2) - C(0) of that regime's complexity,
+    (2 e^{-beta hbar omega} / c_0) (u coth u - 1), with error
+    O(e^{-2 beta hbar omega}).  high_T, for beta hbar omega e^{|u|} << 1,
+    is ln cosh u + u^2 / (2 ln beta hbar omega), with error O(1/L^2).
+    Both are exactly 0 at u = 0, as the amplitude is.  beta and omega in
+    params may be arrays.
     """
-    w, wr = params.omega, params.omega_ref
-    bho = _bho(params)
-    u = np.log(wr) - np.log(w)
+    bho, u = _regime(regime, params)
     if regime == "low_T":
-        _warn_regime(bho > 1.0, regime, "needs beta*hbar*omega >> 1")
-        base = np.sqrt(LN6 * LN6 + 2.0 * u * u)
-        return (2.0 * np.exp(-bho) / base) * (_log_ratio_factor(u) - 1.0)
-    if regime == "high_T":
-        _warn_regime(bho < 1.0, regime, "needs beta*hbar*omega << 1")
-        return np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho))
-    if regime == "high_freq":
-        delta = w / wr
-        _warn_regime(delta > 1.0, regime, "needs omega/omega_ref >> 1")
-        return math.sqrt(2.0) * np.exp(-bho) * (1.0 - 1.0 / np.log(delta))
-    raise ValueError(f"unknown regime {regime!r}")
+        c_0 = np.sqrt(LN6 * LN6 + 2.0 * u * u)
+        return (2.0 * np.exp(-bho) / c_0) * (_log_ratio_factor(u) - 1.0)
+    # u^2 / (2 ln beta hbar omega) is 0/0 at u = 0 and beta hbar omega = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u == 0.0, 0.0, np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho)))[()]
 
 
 def _golden_max(f, lo, hi, tol: float = 1e-10):
@@ -419,13 +408,14 @@ def _golden_max(f, lo, hi, tol: float = 1e-10):
     return 0.5 * (a + b)
 
 
-def lloyd_check(params: PhysicalParams) -> LloydResult:
+def lloyd_check(params: PhysicalParams) -> tuple:
     """Compare the maximum complexity rate over one period with 2U/(pi hbar).
 
     The maximum is located on a uniform grid of _LLOYD_SAMPLES points
-    and polished by golden-section search around the grid argmax.  beta
-    and omega in params may be arrays; every field of the result then
-    has their broadcast shape.
+    and polished by golden-section search around the grid argmax.
+    Returns (max_rate, bound, argmax_t); the bound holds where
+    max_rate <= bound.  beta and omega in params may be arrays; each
+    array then has their broadcast shape.
     """
     bound = 2.0 * internal_energy(params) / (math.pi * params.hbar)
 
@@ -444,4 +434,4 @@ def lloyd_check(params: PhysicalParams) -> LloydResult:
     t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
     max_rate, grid_max = abs_rate(t_star), rates.max(axis=0)
     t_star, max_rate = np.where(grid_max > max_rate, at(i), t_star)[()], np.maximum(grid_max, max_rate)
-    return LloydResult(max_rate=max_rate, bound=bound, satisfied=max_rate <= bound, argmax_t=t_star)
+    return max_rate, bound, t_star

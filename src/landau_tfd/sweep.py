@@ -46,6 +46,12 @@ _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("b
 _CHUNK = 4096
 
 
+def _require_int(value, name: str) -> None:
+    """Raise ValueError unless value is an int or a numpy integer, as numpy's sizes and fock._check_dim need."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepRange:
     start: float
@@ -54,6 +60,7 @@ class SweepRange:
     log: bool = False
 
     def __post_init__(self):
+        _require_int(self.count, "count")
         _require(self.count >= 2, "count must be at least 2", self.count)
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"range endpoints must be finite, got {self.start}:{self.stop}")
@@ -81,6 +88,8 @@ class SweepConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _require(np.array(self.betas) >= 0.0, "every beta must be >= 0 (inf allowed)", self.betas)
+        _require_int(self.samples_per_period, "samples per period")
+        _require_int(self.fock_dim, "fock_dim")
         _require(self.samples_per_period >= 2, "samples per period must be at least 2", self.samples_per_period)
         _require(4 <= self.fock_dim <= fock.MAX_DIM, f"fock_dim must be in [4, {fock.MAX_DIM}]", self.fock_dim)
         # every curve and grid point passes PhysicalParams before any compute
@@ -102,11 +111,12 @@ class SweepConfig:
             "omega_ref": self.params.omega_ref,
             "beta": self.params.beta if math.isfinite(self.params.beta) else "inf",
             "betas": [b if math.isfinite(b) else "inf" for b in self.betas],
-            "samples_per_period": self.samples_per_period,
-            "fock_dim": self.fock_dim,
+            # int() writes a numpy integer as JSON can
+            "samples_per_period": int(self.samples_per_period),
+            "fock_dim": int(self.fock_dim),
         }
         if self.range_ is not None:
-            d["range"] = asdict(self.range_)
+            d["range"] = {**asdict(self.range_), "count": int(self.range_.count)}
         return d
 
     @classmethod
@@ -254,10 +264,10 @@ def run_omega_sweep(config: SweepConfig) -> SweepTable:
 def run_lloyd(config: SweepConfig) -> SweepTable:
     """Maximum complexity rate against the energy bound over a beta grid."""
     grid, p = _grid_params(config, *_GRIDS["lloyd"])
-    res = lloyd_check(p)
+    max_rate, bound, _ = lloyd_check(p)
     return SweepTable(
         columns=[("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
-        values=[grid, res.max_rate, res.bound, res.satisfied],
+        values=[grid, max_rate, bound, max_rate <= bound],
         metadata=_base_metadata(config),
     )
 

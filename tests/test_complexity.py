@@ -20,7 +20,6 @@ from landau_tfd import (
     internal_energy,
     lloyd_check,
     oscillation_amplitude,
-    partition_function,
     relative_spectrum,
 )
 
@@ -62,25 +61,6 @@ class TestAlpha:
 
 
 class TestThermodynamics:
-    def test_partition_value(self):
-        p = params_with(BHW2LN2, omega=1.0)
-        assert partition_function(p) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_partition_monotone(self):
-        zs = [partition_function(params_with(b, omega=1.0)) for b in (0.2, 0.5, 1.0, 3.0)]
-        assert all(a > b for a, b in zip(zs, zs[1:]))
-
-    def test_partition_equals_half_oscillator(self):
-        for bhw in (0.3, 1.0, 4.0):
-            p = params_with(bhw, omega=1.0)
-            ho = math.exp(-bhw / 2.0) / (1.0 - math.exp(-bhw))
-            assert 2.0 * partition_function(p) == pytest.approx(ho, rel=1e-13)
-
-    def test_partition_zero_temperature_is_exact_zero(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert partition_function(params_with(math.inf)) == 0.0
-
     def test_internal_energy_ground_state(self):
         p = params_with(math.inf, omega=0.7)
         assert internal_energy(p) == pytest.approx(p.hbar * p.omega / 2.0)
@@ -307,6 +287,17 @@ class TestAmplitude:
         assert oscillation_amplitude(params_with(20.0)) < 1e-7
 
 
+def _max_error_over_period(regime: str, ratio: float, bhws) -> np.ndarray:
+    """max over 33 times of one period of |asymptotic - exact| at omega/omega_ref = ratio, one per bhw."""
+    p = PhysicalParams(omega=ratio, omega_ref=1.0, beta=np.asarray(bhws)[:, None] / ratio)
+    ts = np.linspace(0.0, p.period, 33)
+    return np.abs(asymptotic_complexity(regime, ts, p) - complexity(ts, p)).max(axis=1)
+
+
+def _slope(x, err) -> float:
+    return np.polyfit(x, np.log(err), 1)[0]
+
+
 class TestAsymptotics:
     def test_low_T_zero_temperature(self):
         p = params_with(math.inf, omega=0.1)
@@ -314,8 +305,12 @@ class TestAsymptotics:
         assert asymptotic_complexity("low_T", 0.0, p) == pytest.approx(want, abs=1e-14)
 
     def test_equal_freq_low_T_limit(self):
-        p = params_with(math.inf, omega=1.0)
-        assert asymptotic_complexity("equal_freq_low_T", 0.0, p) == LN6
+        # at omega = omega_ref, low_T is the equal-frequency form ln 6 + 2 e^{-beta hbar omega} / ln 6, bit for bit
+        ts = np.linspace(0.0, 10.0, 50)
+        for bhw in (1.5, 2.0, 5.0, 20.0, 50.0, math.inf):
+            got = asymptotic_complexity("low_T", ts, params_with(bhw, omega=1.0))
+            np.testing.assert_array_equal(got, LN6 + 2.0 * np.exp(-bhw) / LN6)
+        assert asymptotic_complexity("low_T", 0.0, params_with(math.inf, omega=1.0)) == LN6
 
     def test_low_T_agreement_bound(self):
         # deviation from the exact value is bounded by the next order, e^{-2 beta hbar omega}
@@ -327,6 +322,32 @@ class TestAsymptotics:
                     dev = abs(complexity(t, p) - asymptotic_complexity("low_T", t, p))
                     assert dev <= 5.0 * math.exp(-2.0 * bhw) * (2.0 / base) * 4.0
 
+    @pytest.mark.parametrize("ratio", [0.3, 3.0])
+    def test_low_T_error_order(self, ratio):
+        # error O(e^{-2 beta hbar omega}): ln err falls with slope -2 in beta hbar omega
+        bhws = np.linspace(4.0, 12.0, 9)
+        err = _max_error_over_period("low_T", ratio, bhws)
+        assert -2.1 <= _slope(bhws, err) <= -1.9
+        assert np.all((0.4 < err * np.exp(2.0 * bhws)) & (err * np.exp(2.0 * bhws) < 0.5))
+        p = PhysicalParams(omega=ratio, omega_ref=1.0, beta=bhws / ratio)
+        err = np.abs(asymptotic_amplitude("low_T", p) - oscillation_amplitude(p))
+        assert -2.1 <= _slope(bhws, err) <= -1.9
+        assert np.all((0.02 < err * np.exp(2.0 * bhws)) & (err * np.exp(2.0 * bhws) < 0.03))
+
+    @pytest.mark.parametrize("ratio", [0.3, 3.0])
+    def test_high_T_error_order(self, ratio):
+        # error O(1/L^2) with L = ln(4 / beta hbar omega): ln err falls with slope -2 in ln L
+        bhws = np.logspace(-16, -256, 13)
+        big_l = np.log(4.0 / bhws)
+        err = _max_error_over_period("high_T", ratio, bhws)
+        assert -2.1 <= _slope(np.log(big_l), err) <= -1.9
+        assert np.all(err * big_l**2 < 1.6)
+        bhws = np.logspace(-32, -300, 13)
+        big_l = np.log(4.0 / bhws)
+        p = PhysicalParams(omega=ratio, omega_ref=1.0, beta=bhws / ratio)
+        err = np.abs(asymptotic_amplitude("high_T", p) - oscillation_amplitude(p))
+        assert -2.1 <= _slope(np.log(big_l), err) <= -1.9
+
     def test_high_T_converges(self):
         devs = []
         for bhw in (1e-3, 1e-4, 1e-5):
@@ -334,29 +355,72 @@ class TestAsymptotics:
             devs.append(abs(complexity(0.8, p) - asymptotic_complexity("high_T", 0.8, p)))
         assert devs[0] > devs[1] > devs[2]
 
+    def test_high_T_never_worse_than_leading_order(self):
+        # the 1/L term only helps: against L + ln(1 + y^2)/2 alone, on a grid inside beta hbar omega e^{|u|} <= 0.1
+        ratio, bhw, frac = np.meshgrid(np.logspace(-8, 8, 17), np.logspace(-300, math.log10(0.5), 23), np.linspace(0.0, 1.0, 9))
+        inside = bhw * np.maximum(ratio, 1.0 / ratio) <= 0.1
+        ratio, bhw, frac = ratio[inside], bhw[inside], frac[inside]
+        p = PhysicalParams(omega=ratio, omega_ref=1.0, beta=bhw / ratio)
+        t = frac * p.period
+        exact = complexity(t, p)
+        u = np.log(1.0 / ratio)
+        leading = -np.log(bhw) + np.log(4.0 * np.hypot(1.0, np.sinh(u) * np.sin(ratio * t)))
+        err = np.abs(asymptotic_complexity("high_T", t, p) - exact)
+        assert inside.sum() > 1000
+        assert np.all(err <= np.abs(leading - exact))
+        assert np.all(err <= 0.09 * exact)
+
+    def test_high_T_finite_at_extreme_frequency_ratio(self):
+        ts = np.array([0.0, 1e-300, 0.25, 0.5, 1.0, 2.0, 7.3])[:, None] * math.pi
+        for ratio in (math.exp(-700.0), math.exp(700.0), math.exp(-699.9)):
+            p = PhysicalParams(omega=1.0, omega_ref=ratio, beta=1e-306)
+            assert np.all(np.isfinite(asymptotic_complexity("high_T", ts, p)))
+            with pytest.warns(RuntimeWarning, match="outside the high_T regime"):
+                assert np.all(np.isfinite(asymptotic_complexity("high_T", ts, p.with_(beta=0.5))))
+
     def test_equal_freq_high_T(self):
+        # at omega = omega_ref, high_T is the equal-frequency form L + ln^2 6 / (2L), to 4 ulp
+        bhws = np.logspace(-300, -0.5, 200)
+        lead = np.log(4.0 / bhws)
+        want = lead + LN6 * LN6 / (2.0 * lead)
+        for t in (0.0, 0.7, math.pi):
+            got = asymptotic_complexity("high_T", t, PhysicalParams(omega=1.0, omega_ref=1.0, beta=bhws))
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
         p = params_with(1e-6, omega=1.0)
-        got = asymptotic_complexity("equal_freq_high_T", 0.0, p)
-        assert complexity(0.0, p) == pytest.approx(got, rel=1e-3)
+        assert complexity(0.0, p) == pytest.approx(asymptotic_complexity("high_T", 0.0, p), rel=1e-3)
 
     def test_high_freq(self):
+        # low_T at omega >> omega_ref beats its own leading term expanded in 1/|u|
         p = params_with(5.0, omega=50.0)
-        want = math.sqrt(2.0) * math.log(50.0) + LN6**2 / (2.0 * math.sqrt(2.0) * math.log(50.0))
-        assert asymptotic_complexity("high_freq", 0.0, p) == pytest.approx(want, rel=1e-14)
-        assert complexity(0.0, p) == pytest.approx(want, rel=0.01)
+        expanded = math.sqrt(2.0) * math.log(50.0) + LN6**2 / (2.0 * math.sqrt(2.0) * math.log(50.0))
+        got, exact = asymptotic_complexity("low_T", 0.0, p), complexity(0.0, p)
+        assert abs(got - exact) < abs(expanded - exact) / 100.0
+        assert exact == pytest.approx(got, rel=1e-5)
 
     def test_low_freq(self):
+        # high_T at omega << omega_ref beats the leading-order low-frequency form
         p = params_with(1e-4, omega=0.01)
-        got = asymptotic_complexity("low_freq", 0.3 * p.period, p)
-        assert complexity(0.3 * p.period, p) == pytest.approx(got, rel=0.1)
+        t = 0.3 * p.period
+        s, c = math.sin(p.omega * t), math.cos(p.omega * t)
+        low_freq = -math.log(1e-4) + math.log(2.0 * math.sqrt(s * s + 2e-4 * (1.0 + c * c)) / 0.01)
+        got, exact = asymptotic_complexity("high_T", t, p), complexity(t, p)
+        assert abs(got - exact) < abs(low_freq - exact)
+        assert exact == pytest.approx(got, rel=0.03)
 
     def test_regime_mismatch_warns(self):
         with pytest.warns(RuntimeWarning, match="outside the"):
             asymptotic_complexity("low_T", 0.0, params_with(0.01))
+        # high_T needs beta hbar omega e^{|u|} << 1, not just beta hbar omega < 1
+        with pytest.warns(RuntimeWarning, match=r"outside the high_T regime .*e\^\{\|u\|\}"):
+            asymptotic_complexity("high_T", 0.0, params_with(0.1, omega=1e-3))
 
     def test_unknown_regime(self):
-        with pytest.raises(ValueError):
-            asymptotic_complexity("medium_T", 0.0, params_with(1.0))
+        # the merged and deleted regimes are unknown too
+        for regime in ("medium_T", "equal_freq_low_T", "equal_freq_high_T", "high_freq", "low_freq"):
+            with pytest.raises(ValueError, match="unknown regime"):
+                asymptotic_complexity(regime, 0.0, params_with(1.0))
+            with pytest.raises(ValueError, match="unknown regime"):
+                asymptotic_amplitude(regime, params_with(1.0))
 
     def test_amplitude_low_T(self):
         p = params_with(8.0)
@@ -371,34 +435,61 @@ class TestAsymptotics:
         got = asymptotic_amplitude("high_T", p)
         assert oscillation_amplitude(p) == pytest.approx(got, rel=0.01)
 
+    def test_amplitude_high_T_zero_at_equal_frequency(self):
+        # exactly 0 at u = 0 for every beta, as the amplitude is; u^2 / (2 ln beta hbar omega) is 0/0 at 1
+        assert asymptotic_amplitude("high_T", params_with(1e-8, omega=1.0)) == 0.0
+        with pytest.warns(RuntimeWarning, match="outside the high_T"):
+            got = asymptotic_amplitude("high_T", PhysicalParams(omega=1.0, beta=np.array([1e-300, 0.5, 1.0, 4.0, math.inf])))
+        np.testing.assert_array_equal(got, 0.0)
+
     def test_amplitude_high_freq(self):
-        p = params_with(2.0, omega=40.0)
-        want = math.sqrt(2.0) * math.exp(-p.beta * 40.0) * (1.0 - 1.0 / math.log(40.0))
-        assert asymptotic_amplitude("high_freq", p) == pytest.approx(want, rel=1e-14)
+        # for beta hbar omega >= 3, low_T beats its 1/|u| expansion sqrt(2) e^{-beta hbar omega} (1 - 1/ln(omega/omega_ref))
+        for bhw in (3.0, 4.0, 8.0):
+            p = params_with(bhw, omega=40.0)
+            expanded = math.sqrt(2.0) * math.exp(-bhw) * (1.0 - 1.0 / math.log(40.0))
+            exact = oscillation_amplitude(p)
+            assert abs(asymptotic_amplitude("low_T", p) - exact) < abs(expanded - exact)
+            assert asymptotic_amplitude("low_T", p) == pytest.approx(exact, rel=1.1e-2)
 
 
 class TestLloyd:
     def test_zero_temperature(self):
         p = params_with(math.inf, omega=0.5)
-        res = lloyd_check(p)
-        assert res.max_rate == 0.0
-        assert res.bound == pytest.approx(p.omega / math.pi)
-        assert res.satisfied
+        max_rate, bound, _ = lloyd_check(p)
+        assert max_rate == 0.0
+        assert bound == pytest.approx(p.omega / math.pi)
 
     def test_equal_frequency(self):
-        res = lloyd_check(params_with(1.0, omega=1.0))
-        assert res.max_rate == 0.0
-        assert res.satisfied
+        max_rate, bound, _ = lloyd_check(params_with(1.0, omega=1.0))
+        assert max_rate == 0.0 < bound
 
     def test_satisfied_over_temperatures(self):
         for beta in (0.1, 1.0, 10.0):
             p = PhysicalParams(omega=0.1, omega_ref=1.0, beta=beta)
-            assert lloyd_check(p).satisfied
+            max_rate, bound, _ = lloyd_check(p)
+            assert max_rate <= bound
 
     def test_argmax_is_interior_maximum(self):
         p = params_with(0.5)
-        res = lloyd_check(p)
-        assert 0.0 < res.argmax_t < p.period
+        max_rate, _, argmax_t = lloyd_check(p)
+        assert 0.0 < argmax_t < p.period
         eps = 1e-4 * p.period
-        for t in (res.argmax_t - eps, res.argmax_t + eps):
-            assert abs(complexity_rate(t, p)) <= res.max_rate + 1e-12
+        for t in (argmax_t - eps, argmax_t + eps):
+            assert abs(complexity_rate(t, p)) <= max_rate + 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_violation_region(self, sign):
+        # max_rate / (2U / pi hbar) first exceeds 1 at |ln(omega_ref/omega)| between 27.37 and 27.38,
+        # at beta hbar omega near 0.274, for either sign of u: the bound with this U fails beyond it
+        bhws = np.linspace(0.2, 0.35, 151)
+
+        def worst(u):
+            max_rate, bound, _ = lloyd_check(PhysicalParams(omega=1.0, omega_ref=math.exp(sign * u), beta=bhws))
+            ratio = max_rate / bound
+            return ratio.max(), bhws[np.argmax(ratio)]
+
+        (below, _), (inside, _), (beyond, at) = worst(27.30), worst(27.37), worst(27.38)
+        assert below == pytest.approx(0.999746, abs=1e-6)
+        assert below < inside <= 1.0 < beyond
+        assert at == pytest.approx(0.274, abs=2e-3)
+        assert worst(27.50)[0] == pytest.approx(1.000414, abs=1e-6)

@@ -72,11 +72,11 @@ class TestExtremeFrequencies:
 class TestLowTemperatureRate:
     def test_lloyd_max_rate_at_bho_100(self):
         omega = 0.5
-        res = lloyd_check(params_at(100.0, omega))
-        assert res.max_rate > 0.0
-        want = abs(ref.complexity_rate(res.argmax_t, omega, 100.0 / omega))
-        assert ref.relative_error(res.max_rate, want) <= 1e-10
-        assert res.satisfied
+        max_rate, bound, argmax_t = lloyd_check(params_at(100.0, omega))
+        assert max_rate > 0.0
+        want = abs(ref.complexity_rate(argmax_t, omega, 100.0 / omega))
+        assert ref.relative_error(max_rate, want) <= 1e-10
+        assert max_rate <= bound
 
 
 class TestLowTemperatureAmplitude:
