@@ -18,14 +18,11 @@ from .complexity import (
 from .fock import (
     OracleReport,
     commutator_report,
-    hamiltonian_matrix,
     ladder_matrix,
     oracle_covariance_1pm,
     tfd_a_sector_state,
 )
 from .landau import (
-    angular_momentum_action,
-    energy,
     ladder_action_check,
     laguerre,
     laguerre_norm_integral,

@@ -110,11 +110,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
+    # verify writes its report as JSON whatever --format says
+    text = result.to_csv() if args.format == "csv" and config.mode != "verify" else result.to_json() + "\n"
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if config.mode == "verify":
-        _emit(result.to_json() + "\n", args.out)
         return 0 if result.passed else VERIFY_FAILURE
-
-    _emit(result.to_csv() if args.format == "csv" else result.to_json() + "\n", args.out)
 
     if config.mode == "lloyd":
         violated = ~result.column("satisfied")

@@ -22,6 +22,8 @@ _TINY = np.finfo(float).tiny
 _MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
 # points of lloyd_check's uniform grid over one period, before the golden-section polish
 _LLOYD_SAMPLES = 257
+# width in t below which the golden-section polish stops
+_GOLDEN_TOL = 1e-10
 
 __all__ = [
     "LN6",
@@ -383,11 +385,11 @@ def asymptotic_amplitude(regime: str, params: PhysicalParams):
         return np.where(u == 0.0, 0.0, np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho)))[()]
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-10):
-    """Golden-section maximizer of f elementwise over [lo, hi], returning the argmax to tolerance tol.
+def _golden_max(f, lo, hi):
+    """Golden-section maximizer of f elementwise over [lo, hi], returning the argmax to within _GOLDEN_TOL.
 
     f is evaluated once per step on every element; an element whose
-    bracket is already below tol, or below four ulps of its upper end, keeps it.
+    bracket is already below _GOLDEN_TOL, or below four ulps of its upper end, keeps it.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -395,7 +397,7 @@ def _golden_max(f, lo, hi, tol: float = 1e-10):
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     # a bracket a few ulps wide cannot shrink further, which happens first for a long period
-    while np.any(active := b - a > np.maximum(tol, 4.0 * np.spacing(b))):
+    while np.any(active := b - a > np.maximum(_GOLDEN_TOL, 4.0 * np.spacing(b))):
         # the maximum lies in [a, d] where left and in [c, b] where right
         left, right = active & (fc > fd), active & ~(fc > fd)
         a, b = np.where(right, c, a), np.where(left, d, b)

@@ -1,8 +1,8 @@
 """Truncated-Fock-space oracle.
 
-Dense matrices for the ladder operators and the Hamiltonian, the
-a-sector of the time-evolved TFD state, and brute-force expectation
-values that cross-check the closed-form covariance blocks.  Everything
+The dense ladder matrix, the a-sector of the time-evolved TFD state,
+brute-force expectation values that cross-check the closed-form
+covariance blocks, and the ladder commutation relations.  Everything
 here is deliberately independent of the closed forms it validates.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "CheckResult",
     "OracleReport",
     "ladder_matrix",
-    "hamiltonian_matrix",
     "tfd_a_sector_state",
     "oracle_covariance_1pm",
     "commutator_report",
@@ -75,13 +74,6 @@ def ladder_matrix(dim: int) -> np.ndarray:
     """Annihilation matrix, (a)_{n-1,n} = sqrt(n); the creation matrix is its transpose."""
     _check_dim(dim)
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
-def hamiltonian_matrix(dim: int, params: PhysicalParams) -> np.ndarray:
-    """hbar*omega*(a^dag a + 1/2), assembled from the ladder matrices; shape (..., dim, dim) over omega."""
-    _check_dim(dim)
-    a = ladder_matrix(dim)
-    return np.multiply.outer(params.hbar * params.omega, a.T @ a + 0.5 * np.eye(dim))
 
 
 def tfd_a_sector_state(t, params: PhysicalParams, dim: int) -> tuple:

@@ -1,11 +1,11 @@
 """Landau-level wavefunctions and the special functions behind them.
 
 Generalized Laguerre polynomials by stable recurrence, the normalized
-wavefunctions in dimensionless polar coordinates, level energies, and
-quadrature oracles for the normalization and the ladder-operator
-actions.  The grid oracles share one radial rule: Gauss-Legendre nodes
-on rho in [0, 12], their weights, and the differentiation matrix of
-their interpolant; phi is a uniform grid with an FFT derivative.
+wavefunctions in dimensionless polar coordinates, and quadrature
+oracles for their normalization and the ladder-operator actions.  The
+grid oracles share one radial rule: Gauss-Legendre nodes on rho in
+[0, 12], their weights, and the differentiation matrix of their
+interpolant; phi is a uniform grid with an FFT derivative.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from .complexity import PhysicalParams
 
 __all__ = [
     "laguerre",
-    "energy",
     "length_scale",
     "wavefunction",
     "laguerre_norm_integral",
     "wavefunction_gram",
     "ladder_action_check",
-    "angular_momentum_action",
 ]
 
 _MAX_QUAD_NODES = 180
@@ -85,13 +83,6 @@ def laguerre(n, ell, r):
         prev, cur = cur, ((2.0 * j + ell + 1.0 - r) * cur - (j + ell) * prev) / (j + 1.0)
         out = np.where(n == j + 1, cur, out)
     return out if out.ndim else float(out)
-
-
-def energy(n, params: PhysicalParams):
-    """Landau-level energies hbar*omega*(n + 1/2), degenerate in ell; n broadcasts."""
-    n, _ = _states(n, 0)
-    val = params.hbar * params.omega * (n + 0.5)
-    return val if val.ndim else float(val)
 
 
 def length_scale(params: PhysicalParams) -> float:
@@ -234,30 +225,6 @@ def _project(target: np.ndarray, field: np.ndarray, phi: np.ndarray, lam: float)
     return np.einsum("r,...rp,...rp->...", w * rho, np.conjugate(target), field) * (2.0 * math.pi / len(phi) * lam * lam)
 
 
-def _matrix_element(state: tuple, target: tuple, apply, params: PhysicalParams) -> float:
-    """<target| O |state> for (n, ell) pairs, where apply(psi, rho, phi) is O psi on the radial rule and the phi grid.
-
-    Warns once when the state or the target misses unit norm on the rule
-    by more than _NORM_TOL: such a state does not vanish by
-    rho = _RHO_MAX, and the element is unreliable.
-    """
-    rho = _radial_rule()[0][:, None]
-    phi = _phi_grid(max(abs(state[1]), abs(target[1])))
-    psi = wavefunction(*state, rho, phi, params)
-    bra = psi if target == state else wavefunction(*target, rho, phi, params)
-    lam = length_scale(params)
-    for (n, ell), f in {state: psi, target: bra}.items():
-        deficit = 1.0 - _project(f, f, phi, lam).real
-        if abs(deficit) > _NORM_TOL:
-            warnings.warn(
-                f"state (n, ell) = ({n}, {ell}) has norm deficit {deficit:.3e} on the radial rule "
-                f"rho <= {_RHO_MAX:g}; its matrix elements are unreliable",
-                RuntimeWarning,
-            )
-            break
-    return float(_project(bra, apply(psi, rho, phi), phi, lam).real)
-
-
 def ladder_action_check(n: int, ell: int, which: str, params: PhysicalParams) -> float:
     """Overlap coefficient of a ladder operator applied numerically to the state (n, ell).
 
@@ -279,19 +246,21 @@ def ladder_action_check(n: int, ell: int, which: str, params: PhysicalParams) ->
     if target[0] < 0 or target[1] < -target[0]:
         warnings.warn(f"{which} annihilates the state (n, ell) = ({n}, {ell})", RuntimeWarning)
         return 0.0
-    d = _radial_rule()[2]
+    rho, _, d = _radial_rule()
+    rho = rho[:, None]
+    phi = _phi_grid(max(abs(ell), abs(target[1])))
+    psi = wavefunction(n, ell, rho, phi, params)
+    bra = wavefunction(*target, rho, phi, params)
+    lam = length_scale(params)
+    for (n_f, ell_f), f in (((n, ell), psi), (target, bra)):
+        deficit = 1.0 - _project(f, f, phi, lam).real
+        if abs(deficit) > _NORM_TOL:
+            warnings.warn(
+                f"state (n, ell) = ({n_f}, {ell_f}) has norm deficit {deficit:.3e} on the radial rule "
+                f"rho <= {_RHO_MAX:g}; its matrix elements are unreliable",
+                RuntimeWarning,
+            )
+            break
+    field = -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
+    return float(_project(bra, field, phi, lam).real)
 
-    def apply(psi, rho, phi):
-        return -s_phi * np.exp(1j * dell * phi) / 2.0 * (rho * psi + s_rho * (d @ psi) + s_phi * 1j * _d_phi(psi) / rho)
-
-    return _matrix_element((n, ell), target, apply, params)
-
-
-def angular_momentum_action(n: int, ell: int, params: PhysicalParams) -> float:
-    """Angular-momentum eigenvalue of the state (n, ell) from -i hbar d_phi applied numerically.
-
-    Returns the projection of -i d_phi Psi onto Psi, which equals ell
-    for an exact eigenstate (so the eigenvalue is hbar times this).  A
-    state that does not vanish by rho = 12 warns, as in the ladder check.
-    """
-    return _matrix_element((n, ell), (n, ell), lambda psi, rho, phi: -1j * _d_phi(psi), params)

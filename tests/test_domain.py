@@ -145,3 +145,33 @@ def test_matches_mpmath_over_the_domain(point, t):
         assert rate == 0.0
     elif abs(math.log(omega / omega_ref)) >= 0.1 and bho <= 600.0 and abs(math.sin(2.0 * omega * t)) >= 0.05:
         assert ref.relative_error(rate, ref.complexity_rate(t, omega, p.beta, omega_ref)) <= 1e-12
+
+
+# the Lloyd search at the edges of its domain: equal frequencies, the threshold |u| = 27.38 where the bound
+# first fails, and |u| = 700, each at the extremes of beta hbar omega and at 0.274, where the violation is worst
+_LLOYD_EDGES = [(bho, u) for bho in (1e-3, 0.274, 10.0) for u in (0.0, 27.38, -27.38, 700.0, -700.0)]
+
+
+def _with_lloyd_edges(test):
+    for bho, u in _LLOYD_EDGES:
+        test = example(bho=bho, u=u)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bho=st.floats(-3.0, 1.0).map(lambda e: 10.0**e), u=st.floats(-700.0, 700.0))
+@_with_lloyd_edges
+def test_lloyd_search_finds_the_maximum_rate(bho, u):
+    """max_rate is the rate at argmax_t to 1e-12, and no point of a fine grid over one period exceeds it.
+
+    omega = 1 and omega_ref = e^u, with beta hbar omega log-uniform in
+    [1e-3, 10] and u = ln(omega_ref / omega) uniform in [-700, 700].  The
+    bound is not checked: it fails for |u| > 27.38.
+    """
+    omega_ref = math.exp(u)
+    p = params_at(bho, 1.0, omega_ref)
+    max_rate, _, argmax_t = lloyd_check(p)
+    want = abs(ref.complexity_rate(argmax_t, 1.0, p.beta, omega_ref))
+    assert ref.relative_error(max_rate, want) <= 1e-12
+    grid = np.abs(complexity_rate(np.linspace(0.0, p.period, 65537), p))
+    assert grid.max() <= max_rate

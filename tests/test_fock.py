@@ -13,7 +13,6 @@ from landau_tfd import (
     PhysicalParams,
     commutator_report,
     covariance_g,
-    hamiltonian_matrix,
     ladder_matrix,
     oracle_covariance_1pm,
     tfd_a_sector_state,
@@ -80,10 +79,9 @@ class TestLadderMatrix:
         "call",
         [
             lambda: ladder_matrix(4.0),
-            lambda: hamiltonian_matrix(4.5, params_with(1.0)),
             lambda: tfd_a_sector_state(0.0, params_with(1.0), 4.5),
         ],
-        ids=["ladder_matrix", "hamiltonian_matrix", "tfd_a_sector_state"],
+        ids=["ladder_matrix", "tfd_a_sector_state"],
     )
     def test_non_integer_dim(self, call):
         with pytest.raises(ValueError, match=r"truncation size must be an integer in \[2, 128\]"):
@@ -91,32 +89,6 @@ class TestLadderMatrix:
 
     def test_numpy_integer_dim(self):
         assert np.array_equal(ladder_matrix(np.int64(5)), ladder_matrix(5))
-
-
-class TestHamiltonian:
-    def test_diagonal_spectrum(self):
-        h = hamiltonian_matrix(3, PhysicalParams(omega=1.0, beta=1.0))
-        assert np.allclose(h, np.diag([0.5, 1.5, 2.5]))
-
-    def test_commutes_with_number(self):
-        h = hamiltonian_matrix(8, PhysicalParams(omega=0.3, beta=1.0))
-        a = ladder_matrix(8)
-        num = a.T @ a
-        assert np.max(np.abs(h @ num - num @ h)) == 0.0
-
-    def test_stacks_over_omega(self):
-        p = PhysicalParams(hbar=2.0, omega=np.array([0.3, 0.7, 5.0]), beta=1.0)
-        h = hamiltonian_matrix(6, p)
-        assert h.shape == (3, 6, 6)
-        for i, omega in enumerate(p.omega):
-            assert np.array_equal(h[i], hamiltonian_matrix(6, p.with_(omega=omega)))
-
-    def test_matches_ladder_construction(self):
-        p = PhysicalParams(hbar=2.0, omega=0.7, beta=1.0)
-        h = hamiltonian_matrix(10, p)
-        a = ladder_matrix(10)
-        built = p.hbar * p.omega * (a.T @ a + 0.5 * np.eye(10))
-        assert np.max(np.abs(h - built)) < 1e-15
 
 
 class TestTfdState:

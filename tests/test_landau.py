@@ -1,6 +1,9 @@
 """Laguerre polynomials, wavefunctions, and the ladder-operator oracle."""
 
+import ast
 import math
+import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +15,6 @@ from scipy.integrate import dblquad
 from landau_tfd import landau
 from landau_tfd import (
     PhysicalParams,
-    angular_momentum_action,
-    energy,
     ladder_action_check,
     laguerre,
     laguerre_norm_integral,
@@ -103,29 +104,6 @@ class TestLaguerre:
         # the recurrence meets inf - inf at r = inf and would carry a NaN through
         with pytest.raises(ValueError, match="r must be finite and non-negative"):
             laguerre(n, 0, r)
-
-
-class TestEnergy:
-    def test_ground_state(self):
-        assert energy(0, PARAMS) == pytest.approx(0.5)
-
-    def test_direct_substitution(self):
-        p = PARAMS.with_(omega=2.0)
-        assert energy(3, p) == pytest.approx(7.0)
-
-    def test_uniform_spacing(self):
-        p = PARAMS.with_(omega=0.7, hbar=2.0)
-        for n in range(1, 12):
-            assert energy(n, p) - energy(n - 1, p) == pytest.approx(p.hbar * p.omega)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            energy(-1, PARAMS)
-
-    def test_broadcasts_over_n(self):
-        p = PARAMS.with_(omega=2.0)
-        assert np.array_equal(energy(np.array([[0], [3]]), p), [[1.0], [7.0]])
-        assert energy(np.array([], dtype=int), p).shape == (0,)
 
 
 class TestNormIntegral:
@@ -280,26 +258,24 @@ class TestLadderOracle:
             ladder_action_check(np.int64(30), np.int64(0), "a_dagger", PARAMS)
         assert len(caught) == 1
 
+    @pytest.mark.parametrize(
+        "n,ell,which,named",
+        [
+            (28, -3, "b", r"\(28, -3\) has norm deficit 1\.2\d\de-08"),
+            (25, 5, "b_dagger", r"\(25, 5\) has norm deficit 1\.0\d\de-07"),
+            (23, -1, "a_dagger", r"\(24, -2\) has norm deficit 1\.7\d\de-12"),
+        ],
+        ids=["state-negative-ell", "state-positive-ell", "target-only"],
+    )
+    def test_norm_guard_names_the_first_state_beyond_the_rule(self, n, ell, which, named):
+        # (23, -1) itself holds its norm to 1e-12; only its a_dagger target (24, -2) misses it
+        with pytest.warns(RuntimeWarning, match=rf"state \(n, ell\) = {named}") as caught:
+            ladder_action_check(n, ell, which, PARAMS)
+        assert len(caught) == 1
+
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
             ladder_action_check(1, 0, "c", PARAMS)
-
-
-class TestAngularMomentum:
-    @pytest.mark.parametrize("n,ell", [(0, 0), (1, 3), (2, -1), (0, 2)])
-    def test_eigenvalue(self, n, ell):
-        got = angular_momentum_action(n, ell, PARAMS)
-        assert got == pytest.approx(ell, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "n,ell,deficit", [(30, 4, r"4\.4\d\de-04"), (25, 5, r"1\.0\d\de-07"), (28, -3, r"1\.2\d\de-08")]
-    )
-    def test_state_beyond_the_radial_rule_warns_once(self, n, ell, deficit):
-        # eigenvalues off by 1.8e-3, 5.4e-7 and 3.7e-8: the states do not vanish by rho = 12
-        match = rf"\(n, ell\) = \({n}, {ell}\) has norm deficit {deficit}"
-        with pytest.warns(RuntimeWarning, match=match) as caught:
-            angular_momentum_action(n, ell, PARAMS)
-        assert len(caught) == 1
 
 
 # each entry point of the Landau oracle, called on the state (n, ell)
@@ -307,7 +283,6 @@ ENTRY_POINTS = {
     "wavefunction": lambda n, ell: wavefunction(n, ell, 1.0, 0.0, PARAMS),
     "wavefunction_gram": lambda n, ell: wavefunction_gram(np.array([0, n]), np.array([0, ell]), PARAMS),
     "ladder_action_check": lambda n, ell: ladder_action_check(n, ell, "a_dagger", PARAMS),
-    "angular_momentum_action": lambda n, ell: angular_momentum_action(n, ell, PARAMS),
 }
 
 
@@ -334,7 +309,6 @@ NON_INTEGER_LABEL = {
     "laguerre-n-nan": (lambda: laguerre(np.array([1.0, np.nan]), 0, 0.3), "n"),
     "laguerre-ell": (lambda: laguerre(1, 0.5, 0.3), "ell"),
     "laguerre_norm_integral": (lambda: laguerre_norm_integral(1, 1.5, 0), "m"),
-    "energy": (lambda: energy(1.5, PARAMS), "n"),
 }
 
 
@@ -347,7 +321,6 @@ def test_non_integer_label_is_rejected(case):
 
 def test_integral_float_labels_are_accepted():
     assert laguerre(2.0, 1.0, 0.3) == laguerre(2, 1, 0.3)
-    assert energy(3.0, PARAMS) == energy(3, PARAMS)
 
 
 # |ell| from 7 up: a fixed phi grid aliases e^{i ell phi}, and a finite difference in phi errs by ~1e-4
@@ -364,19 +337,11 @@ class TestHighAngularMomentum:
         want = {"b_dagger": math.sqrt(n + ell + 1), "b": math.sqrt(n + ell), "a_dagger": math.sqrt(n + 1)}[which]
         assert ladder_action_check(n, ell, which, PARAMS) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("ell", HIGH_ELL)
-    def test_angular_momentum(self, ell):
-        assert angular_momentum_action(max(0, -ell), ell, PARAMS) == pytest.approx(ell, abs=1e-12)
-
     @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
     @pytest.mark.parametrize("which", ["a_dagger", "b_dagger"])
     def test_high_level_ladder_coefficient(self, which, n, ell):
         want = {"a_dagger": math.sqrt(n + 1), "b_dagger": math.sqrt(n + ell + 1)}[which]
         assert ladder_action_check(n, ell, which, PARAMS) == pytest.approx(want, abs=1e-11)
-
-    @pytest.mark.parametrize("n,ell", HIGH_LEVELS)
-    def test_high_level_angular_momentum(self, n, ell):
-        assert angular_momentum_action(n, ell, PARAMS) == pytest.approx(ell, abs=1e-11)
 
 
 def test_import_does_not_load_scipy():
@@ -389,3 +354,17 @@ def test_import_does_not_load_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_readme_lists_every_export():
+    # README's "Library use" names each module's exports on one "- `module`: ..." item
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "src" / "landau_tfd" / "__init__.py").read_text())
+    exports = {node.module: {a.name for a in node.names} for node in tree.body if isinstance(node, ast.ImportFrom)}
+    readme = (root / "README.md").read_text()
+    section = readme.split("Every name `landau_tfd` exports")[1].split("\n\n")[1]
+    listed = {}
+    for item in section.split("\n- "):
+        module, names = item.lstrip("- ").split(":", 1)
+        listed[module.strip("`")] = set(re.findall(r"`(\w+)`", names))
+    assert listed == exports

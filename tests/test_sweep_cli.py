@@ -675,6 +675,24 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("mode", ["lloyd", "verify"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_one_line_usage_error(self, mode, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        assert main(["--mode", mode, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out_from_a_fresh_process(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "landau_tfd.cli", "--mode", "lloyd", "--out", str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
+
     def test_zero_temperature_is_silent(self, capsys):
         assert main(["--mode", "time-series", "--omega", "1", "--beta", "inf", "--samples", "4"]) == 0
         assert capsys.readouterr().err == ""
