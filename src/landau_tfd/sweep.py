@@ -182,15 +182,9 @@ def _cells(v: np.ndarray, json_: bool) -> list:
     if v.dtype == bool:
         # bools print as 0/1 in CSV
         return list(map(("false", "true").__getitem__ if json_ else "%d".__mod__, v.tolist()))
-    if not json_:
-        from . import _g17  # compiled and loaded on the first CSV write, not at import
+    from . import _g17  # compiled and loaded on the first table write, not at import
 
-        return _g17.cells(v)
-    cells = list(map(repr, v.tolist()))
-    # JSON has no Infinity literal; keep output loadable everywhere
-    for i in np.flatnonzero(~np.isfinite(v)):
-        cells[i] = '"inf"' if np.isinf(v[i]) else "NaN"
-    return cells
+    return _g17.cells(v, json_)
 
 
 def _fmt_meta(v) -> str:

@@ -9,6 +9,8 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,13 +396,16 @@ class TestChunkedSerialization:
         assert path.read_bytes() == stdout.encode()
 
 
-def python_cells(x: np.ndarray) -> list:
-    return ["%.17g" % v for v in x.tolist()]
+def python_cells(x: np.ndarray, json_: bool = False) -> list:
+    """Python's own cells: '%.17g' % x, or for JSON repr(x) with the string "inf" for +-inf and NaN for NaN."""
+    if not json_:
+        return ["%.17g" % v for v in x.tolist()]
+    return ['"inf"' if math.isinf(v) else "NaN" if math.isnan(v) else repr(v) for v in x.tolist()]
 
 
-def mismatches(x: np.ndarray) -> list:
-    """The first few (value, array cell, Python cell) where _g17.cells differs from '%.17g' %."""
-    got, want = _g17.cells(x), python_cells(x)
+def mismatches(x: np.ndarray, json_: bool = False) -> list:
+    """The first few (value, array cell, Python cell) where _g17.cells differs from python_cells."""
+    got, want = _g17.cells(x, json_), python_cells(x, json_)
     assert len(got) == len(want)
     return [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -466,6 +471,101 @@ class TestExactCells:
         exact = _g17.digits17(x)[2]
         assert np.count_nonzero(~exact) <= np.count_nonzero(x == 0.0) + 2
         assert mismatches(x) == []
+
+
+def repr_candidates(x: float) -> int:
+    """How many decimals with as many digits as repr(x) lie strictly between x's midpoints to its neighbours."""
+    lo = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
+    hi = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    unit = Fraction(10) ** Decimal(repr(x)).as_tuple().exponent
+    return math.ceil(hi / unit) - math.floor(lo / unit) - 1
+
+
+class TestShortestCells:
+    """Every JSON float cell is repr(x), byte for byte, whether the array pass or the fallback writes it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(bits=st.lists(_DOUBLE_BITS, min_size=1, max_size=40))
+    @example(bits=[0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1, (1 << 63) | 1, 2**52 - 1])
+    def test_raw_bit_patterns(self, bits):
+        assert mismatches(np.array(bits, dtype=np.uint64).view(np.float64), json_=True) == []
+
+    def test_uniform_bit_patterns(self):
+        bits = np.random.default_rng(12).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        assert mismatches(bits.view(np.float64), json_=True) == []
+
+    def test_powers_of_two(self):
+        # the double below a power of two is half as far as the one above it
+        assert mismatches(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))), json_=True) == []
+
+    def test_powers_of_ten(self):
+        assert mismatches(with_neighbours(np.array([float(f"1e{q}") for q in range(-300, 300)])), json_=True) == []
+
+    def test_dyadic_fractions(self):
+        # exact ties when a 17-digit value is rounded
+        x = (np.arange(1, 1025)[:, None] * np.ldexp(1.0, -np.arange(61))).ravel()
+        assert mismatches(np.concatenate([x, -x]), json_=True) == []
+
+    def test_integers_near_two_to_the_53(self):
+        # from 2^53 to 1e17 both ends of the interval are integers on the scaled axis: the guard band takes them
+        ints = np.arange(2**53 - 1000, 2**53 + 1000).astype(float)
+        assert mismatches(np.concatenate([ints * 2.0**j for j in range(5)]), json_=True) == []
+
+    def test_every_fixed_and_exponent_form(self):
+        digits = np.array([int("123456789" * 2) // 10 ** (17 - m) * 10 ** (17 - m) for m in range(1, 18)], dtype=float)
+        x = (digits[:, None] * 10.0 ** (np.arange(-300, 300) - 16.0)).ravel()
+        assert mismatches(with_neighbours(x), json_=True) == []
+
+    def test_repr_switches(self):
+        # fixed notation through k = 15, an integral fixed value with '.0', and the sign of zero
+        x = np.array([9999999999999998.0, 1e16, 0.0001, 0.00001, 100.0, -0.0, 123456789012345.6, 1.5e-5, -2.5])
+        want = ["9999999999999998.0", "1e+16", "0.0001", "1e-05", "100.0", "-0.0", "123456789012345.6", "1.5e-05", "-2.5"]
+        assert _g17.cells(x, json_=True) == want
+
+    def test_several_candidates(self):
+        # 16 and 17 digits with two or more candidates of that length between the midpoints: repr takes the nearest
+        x = np.random.default_rng(13).uniform(8.0, 10.0, 4000) * 10.0 ** np.arange(-20, 20).repeat(100)
+        several = [v for v in x.tolist() if repr_candidates(v) >= 2]
+        sixteen = [v for v in several if len(Decimal(repr(v)).as_tuple().digits) == 16]
+        assert len(sixteen) > 100 and len(several) - len(sixteen) > 100
+        assert mismatches(np.array(several), json_=True) == []
+
+    def test_array_pass_writes_the_sweeps(self):
+        # on a sweep's columns the fallback is a guard for single values (here the grid's powers of ten, whose
+        # log10 may round up), not a second writer
+        table = run_beta_sweep(small_config("beta-sweep", range_=SweepRange(1e-12, 1e3, _CHUNK, log=True)))
+        x = np.concatenate(table.values)
+        assert np.count_nonzero(~_g17.shortest(x)[2]) <= len(x) // 1000
+        assert mismatches(x, json_=True) == []
+
+
+def repr_json_cells(v: np.ndarray, json_: bool) -> list:
+    """The JSON cells as sweep wrote them before the array pass: repr per value, then inf and NaN patched."""
+    assert json_
+    if v.dtype == bool:
+        return list(map(("false", "true").__getitem__, v.tolist()))
+    cells = list(map(repr, v.tolist()))
+    for i in np.flatnonzero(~np.isfinite(v)):
+        cells[i] = '"inf"' if np.isinf(v[i]) else "NaN"
+    return cells
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: run_beta_sweep(
+            small_config("beta-sweep", params=PhysicalParams(omega=1.0), range_=SweepRange(1e-300, 1e3, _CHUNK + 1, log=True))
+        ),
+        lambda: run_omega_sweep(small_config("omega-sweep", range_=SweepRange(1e-2, 1e2, _CHUNK + 1, log=True))),
+        lambda: feature_table(_CHUNK + 1),
+    ],
+    ids=["beta-sweep", "omega-sweep", "constant-nan-inf"],
+)
+def test_json_bytes_equal_the_repr_writer(make, monkeypatch):
+    table = make()
+    got = table.to_json()
+    monkeypatch.setattr(sweep, "_cells", repr_json_cells)
+    assert first_difference(got, table.to_json()) is None
 
 
 class TestVerify:
