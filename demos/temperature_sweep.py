@@ -9,6 +9,7 @@ amplitude is exponentially suppressed; toward infinite temperature the
 amplitude saturates at ln((omega_ref^2 + omega^2)/(2 omega_ref omega)).
 """
 
+import io
 import math
 
 from landau_tfd import LN6, PhysicalParams, SweepConfig, SweepRange, run_beta_sweep
@@ -34,5 +35,7 @@ for beta, comp, amp in zip(*(table.column(n) for n in ("beta", "complexity_half_
 # the same table serializes to CSV with the full configuration echoed
 # in the header, so the output alone reproduces the run
 print("\nfirst lines of the CSV emission:")
-for line in table.to_csv().splitlines()[:3]:
+csv = io.StringIO()
+table.to_csv(csv)
+for line in csv.getvalue().splitlines()[:3]:
     print(" ", line[:100])

@@ -1,13 +1,16 @@
 """Exact '%.17g' % x and repr(x) text for a float array, by one numpy pass.
 
-The CSV writer of sweep formats every float cell here in the first style,
-the JSON writer in the second.  Python's own '%.17g' % x or repr(x) runs
-only for the values the pass cannot prove exact.
+The table writer of sweep lays out every chunk of rows here, as one byte
+array: its CSV float cells in the first style, its JSON ones in the
+second.  Python's own '%.17g' % x or repr(x) runs only for the values the
+pass cannot prove exact, and for a column whose values in the chunk are
+all the same.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +18,8 @@ import numpy as np
 # k = floor(log10 |x|) runs over [-280, 279] for |x| in [1e-280, 1e280); the tables reach one further
 # either way, for a log10 that rounds across a power of ten
 _K_MIN, _K_MAX = -281, 280
-# one cell's bytes: '-0.000' (the sign and the 0.000ddd prefix) at 0..5, digit i of d at 6 + 2i with a '.'
-# after it, then 'e', the exponent's sign and three digits at 40..44, and the newline at 45
+# one cell's slot: '-0.000' (the sign and the 0.000ddd prefix) at 0..5, digit i of d at 6 + 2i with a '.'
+# after it, then 'e', the exponent's sign and three digits at 40..44, and the cell's separator at 45
 _ROW = 48
 # the forms of a cell: fixed notation at k = -4..16, then the exponent form with two and with three digits
 _FORMS = 23
@@ -50,10 +53,12 @@ def _tables() -> tuple:
     10^q for q = 16 - k as hi + lo, to about 2^-105 relative: the exact
     product of 10^(22c), a double-double from integers (10^(22c) itself
     for c >= 0, floor(2^s / 10^-22c) 2^-s for c < 0), and 10^b, an exact
-    double, for q = 22c + b.  The 100 digit pairs and the exponents as
-    words of the row layout, and per (style, form, digits kept) the mask
-    of the bytes that make an unsigned cell: style 0 is '%.17g', style 1
-    is repr, which writes an integral fixed value with '.0'.
+    double, for q = 22c + b.  Every group of four digits and every
+    exponent as an 8-byte word of the slot layout, the trailing zeros of
+    each group, and per (sign, style, form, digits kept) the mask of the
+    bytes that make a cell and its separator, as words of 0xFF and 0x00
+    bytes: style 0 is '%.17g', style 1 is repr, which writes an integral
+    fixed value with '.0'.  The last mask keeps the separator alone.
     """
     c, b = np.divmod(np.arange(16 - _K_MAX, 17 - _K_MIN), 22)
     coarse = []
@@ -68,21 +73,24 @@ def _tables() -> tuple:
     hi = p + t
     lo = t - (hi - p)
 
-    j = np.arange(100)
-    pairs = (48 + j // 10) | ord(".") << 8 | (48 + j % 10) << 16 | ord(".") << 24
+    # four digits with a '.' after each as one word of the slot layout, and how many of them are trailing zeros
+    d1, d2, d3, d4 = np.ix_(*[np.arange(10)] * 4)
+    quads = (48 + d1 | (48 + d2) << 16 | (48 + d3) << 32 | (48 + d4) << 48 | int.from_bytes(b"\0." * 4, "little")).ravel()
+    trailing = ((d4 == 0) * (1 + (d3 == 0) * (1 + (d2 == 0) * (1 + (d1 == 0))))).ravel()
     exp = np.arange(_K_MIN, _K_MAX + 1)
     e = np.abs(exp)
-    exps = np.stack([
-        ord("e") | np.where(exp < 0, ord("-"), ord("+")) << 8 | (48 + e // 100) << 16 | (48 + e // 10 % 10) << 24,
-        (48 + e % 10) | ord("\n") << 8,
-    ])
+    exps = (
+        ord("e") | np.where(exp < 0, ord("-"), ord("+")) << 8
+        | (48 + e // 100) << 16 | (48 + e // 10 % 10) << 24 | (48 + e % 10) << 32
+    )
 
-    style, form, kept, at = np.ogrid[:2, :_FORMS, 1:18, :_ROW]
+    sign, style, form, kept, at = np.ogrid[:2, :2, :_FORMS, 1:18, :_ROW]
     k = form - 4
     fixed = form < _FORMS - 2
     digit, point = (at - 6) // 2, np.where(fixed, k, 0)  # the digit at a byte, and the digit the point follows
     mask = (
-        (((at == 1) | (at == 2)) & fixed & (k < 0))  # '0.' before a fraction's
+        ((at == 0) & (sign == 1))  # '-'
+        | (((at == 1) | (at == 2)) & fixed & (k < 0))  # '0.' before a fraction's
         | ((at >= 3) & (at < 6) & fixed & (at - 3 < -k - 1))  # -k - 1 leading zeros
         # the digits kept, and in fixed form every digit before the point, and for repr the one after it
         | ((at >= 6) & (at < 40) & (at % 2 == 0) & (digit <= np.where(fixed, np.maximum(kept - 1, k + style), kept - 1)))
@@ -92,10 +100,27 @@ def _tables() -> tuple:
         | ((at == 42) & (form == _FORMS - 1))  # a third exponent digit
         | (at == 45)
     ).reshape(-1, _ROW)
-    tables = (hi, *_split(hi), lo, pairs.astype("<u4"), exps.astype("<u4"), mask)
+    # a last mask for the cells that fall back: their separator alone
+    mask = np.vstack([mask, np.arange(_ROW) == 45])
+    tables = (
+        hi, *_split(hi), lo,
+        quads.astype("<u8"), trailing.astype(np.uint8), exps.astype("<u8"),
+        (mask * 0xFF).astype(np.uint8).view("<u8"),
+    )
     for a in tables:
         a.flags.writeable = False
     return tables
+
+
+def _product(a: np.ndarray, k: np.ndarray) -> tuple:
+    """(s, r): s + r = a 10^(16-k) to about 1e-14 absolute, with s = fl(s + r)."""
+    hi_t, hi1_t, hi2_t, lo_t = _tables()[:4]
+    q = _K_MAX - k
+    hi = hi_t[q]
+    p = a * hi
+    t = _two_prod_err(*_split(a), hi1_t[q], hi2_t[q], p) + a * lo_t[q]
+    s = p + t
+    return s, t - (s - p)
 
 
 def _scaled(x: np.ndarray) -> tuple:
@@ -103,23 +128,34 @@ def _scaled(x: np.ndarray) -> tuple:
 
     As in Ryu printf (Adams, OOPSLA 2019), an exact two_prod of a and
     hi, plus a lo, gives s + r to about 1e-14 absolute.  s is an integer
-    (>= 2^53), so |r| <= ulp(s) / 2 <= 8.  ok is False, and a is 1, where
-    the pass cannot prove s + r: zeros, infinities and NaN, |x| outside
-    [1e-280, 1e280), and a k that log10 got wrong.
+    (>= 2^53), so |r| <= ulp(s) / 2 <= 8.  Where log10 rounds across a
+    power of ten (just below 1e-7 it gives -7), s + r falls outside
+    [1e16, 1e17), and k moves by one towards it.  ok is False, and a is 1,
+    where the pass cannot prove s + r: zeros, infinities and NaN, |x|
+    outside [1e-280, 1e280), and a k still wrong after that step.
     """
-    hi_t, hi1_t, hi2_t, lo_t = _tables()[:4]
     a = np.abs(x)
     ok = (a >= 1e-280) & (a < 1e280)
     a = np.where(ok, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.intp)
-    q = _K_MAX - k
-    hi = hi_t[q]
-    p = a * hi
-    t = _two_prod_err(*_split(a), hi1_t[q], hi2_t[q], p) + a * lo_t[q]
-    s = p + t
-    r = t - (s - p)
-    ok &= ((s > 1e16) | ((s == 1e16) & (r >= 0))) & (s < 1e17)
-    return a, k, s, r, ok
+    s, r = _product(a, k)
+    low, high = _below(s, r, 1e16), ~_below(s, r, 1e17)
+    off = np.flatnonzero(low | high)
+    if len(off):
+        k[off] += high[off].astype(np.intp) - low[off]
+        s[off], r[off] = _product(a[off], k[off])
+        low[off], high[off] = _below(s[off], r[off], 1e16), ~_below(s[off], r[off], 1e17)
+    return a, k, s, r, ok & ~low & ~high
+
+
+def _below(s, r, bound: float):
+    """s + r < bound, for s = fl(s + r) and a bound of 1e16 or 1e17.
+
+    Near the bound s and the bound are multiples of ulp(s), so s - bound
+    is exact and is 0 or at least 2 |r| in size: adding r changes its
+    sign only where it is 0.
+    """
+    return (s - bound) + r < 0
 
 
 def _floor_frac(y: np.ndarray) -> tuple:
@@ -139,8 +175,10 @@ def digits17(x: np.ndarray) -> tuple:
     _, k, s, r, exact = _scaled(x)
     r_floor, frac = _floor_frac(r)
     exact &= np.abs(frac - 0.5) > _GUARD
-    d = np.where(exact, s.astype(np.int64) + r_floor + (frac > 0.5), 10**16)
-    return d, k, exact
+    d = s.astype(np.int64) + r_floor + (frac > 0.5)
+    # 10^17 is 1 followed by zeros one decade up
+    top = exact & (d == 10**17)
+    return np.where(exact & ~top, d, 10**16), k + top, exact
 
 
 def shortest(x: np.ndarray) -> tuple:
@@ -185,31 +223,46 @@ def shortest(x: np.ndarray) -> tuple:
     return np.where(exact & ~top, d, 10**16), k + top, exact
 
 
-def _json_text(x: float) -> str:
-    """repr(x), with the string "inf" for +-inf and NaN for NaN, since JSON has no infinity literal."""
-    if math.isfinite(x):
-        return repr(x)
-    return '"inf"' if math.isinf(x) else "NaN"
+# the row layouts of the two styles: the bytes before a row's first cell, between a cell's ',' and the next
+# cell, and after the last cell, and the last cell's separator.  A JSON row opens with the ',' that parts it
+# from the row before; the writer drops the first row's.
+_LAYOUTS = ((b"", b"", b"", b"\n"), (b",\n    [\n      ", b"\n      ", b"\n    ]", b""))
+# a cell that falls back holds this byte until Python's text replaces it; no cell and no layout holds it
+_MARK = b"\1"
 
 
-def cells(v: np.ndarray, json_: bool = False) -> list:
-    """'%.17g' % x, or for json_ repr(x), for each x of v by one array pass; Python's own text, byte for byte.
+def _text(x, json_: bool) -> str:
+    """Python's own text of one cell: a bool as 0/1 or false/true, '%.17g' % x, or repr(x) with the string
+    "inf" for +-inf and NaN for NaN, since JSON has no infinity literal."""
+    if isinstance(x, bool):
+        return ("false", "true")[x] if json_ else "%d" % x
+    if not json_:
+        return "%.17g" % x
+    return repr(x) if math.isfinite(x) else '"inf"' if math.isinf(x) else "NaN"
+
+
+def _words(b: bytes) -> np.ndarray:
+    """b padded with NUL to whole 8-byte words."""
+    return np.frombuffer(b.ljust(-(-len(b) // 8) * 8, b"\0"), dtype="<u8")
+
+
+def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> np.ndarray:
+    """Lay out each x and sep in its slot, a row of words (n, 6); return where Python must write the cell.
 
     digits17 or shortest gives each |x| as a 17-digit integer d; d goes
-    to ASCII by a digit-pair table, and a byte mask per (style, form,
-    digits kept) picks the fixed, 0.000ddd or exponent form, with its
-    trailing zeros stripped, out of one row layout.  repr writes fixed
+    to ASCII four digits a word, from a table, and a byte mask per
+    (sign, style, form, digits kept) picks the fixed, 0.000ddd or
+    exponent form, with its trailing zeros stripped, out of one slot
+    layout: every byte the mask drops becomes NUL.  repr writes fixed
     notation up to k = 15, '%.17g' up to 16.  Where the digits are not
-    proven, Python itself writes the cell; JSON's cell for +-inf is
-    "inf" and for NaN is NaN.
+    proven, the slot holds _MARK and sep.
     """
-    pairs, exps, mask = _tables()[4:]
-    x = np.asarray(v, dtype=float)
+    quads, trailing, exps, mask = _tables()[4:]
     n = len(x)
     d, k, exact = (shortest if json_ else digits17)(x)
 
-    # the row layout as 4-byte words, one word per row of src until the transpose: the prefix, the leading
-    # digit, eight digit pairs (the high and the low eight digits of d, by quarters) and the exponent
+    # the slot's words: the prefix and the leading digit, the four quarters of the low sixteen digits of d, and
+    # the exponent with the separator
     high = d // 100_000_000
     lead = high // 100_000_000
     halves = np.empty((2, n), dtype=np.uint32)
@@ -219,31 +272,79 @@ def cells(v: np.ndarray, json_: bool = False) -> list:
     np.floor_divide(halves, 10_000, out=quarters[:, 0])
     quarters[:, 1] = halves - 10_000 * quarters[:, 0]
     quarters = quarters.reshape(4, n)
-    digit_pairs = np.empty((4, 2, n), dtype=np.uint32)
-    np.floor_divide(quarters, 100, out=digit_pairs[:, 0])
-    digit_pairs[:, 1] = quarters - 100 * digit_pairs[:, 0]
-    src = np.empty((_ROW // 4, n), dtype="<u4")
-    src[0] = int.from_bytes(b"-0.0", "little")
-    src[1] = int.from_bytes(b"00\0.", "little") + ((lead + 48) << 16)
-    pairs.take(digit_pairs.reshape(8, n), out=src[2:10])
-    exps[0].take(k - _K_MIN, out=src[10])
-    exps[1].take(k - _K_MIN, out=src[11])
+    src = np.empty((_ROW // 8, n), dtype="<u8")
+    src[0] = int.from_bytes(b"-0.000\0.", "little") + ((lead + 48) << 48)
+    quads.take(quarters, out=src[1:5])
+    exps.take(k - _K_MIN, out=src[5])
+    src[5] |= int.from_bytes(sep, "little") << 40
 
-    # trailing zeros of d: those of its low eight digits, or eight and those of its high eight
-    low_zero = halves[1] == 0
-    w = np.where(low_zero, halves[0], halves[1])
-    zeros = 8 * low_zero
-    for i in range(1, 9):
-        zeros += w // 10**i * 10**i == w
+    # trailing zeros of d: those of its last quarter, and while a quarter is all zeros, those of the one before
+    tz = trailing.take(quarters)
+    zeros = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
     form = np.where((k >= -4) & (k <= 16 - json_), k + 4, _FORMS - 2 + (np.abs(k) >= 100))
-    keep = mask.take((json_ * _FORMS + form) * 17 + 16 - zeros, axis=0)
-    keep[:, 0] = x < 0
-    # the rows' bytes with every byte the mask drops set to NUL, which no cell holds; then the NULs go
-    rows = src.T.copy().view(np.uint8)
-    rows *= keep
-    out = rows.tobytes().translate(None, b"\0").decode().split("\n")
-    out.pop()
-    text = _json_text if json_ else "%.17g".__mod__
-    for i in np.flatnonzero(~exact).tolist():
-        out[i] = text(float(x[i]))
+    cell = (((x < 0) * 2 + json_) * _FORMS + form) * 17 + 16 - zeros
+    np.bitwise_and(src.T, mask.take(np.where(exact, cell, len(mask) - 1), axis=0), out=words)
+    fallback = ~exact
+    words[:, 0] |= fallback
+    return fallback
+
+
+def rows(cols: list, json_: bool = False, layout: tuple | None = None) -> bytes:
+    """The text of a chunk of table rows, row i holding value i of each column, by one array pass.
+
+    The chunk is laid out as one byte array, a row of it per table row:
+    the layout's bytes, with each cell's slot between them ending in ','
+    or the last cell's separator, and each part padded with NUL to whole
+    8-byte words.  A float column's slot is _fill's, a bool column's its
+    text from a table.  A column whose values in the chunk are bitwise
+    identical (so -0.0 and 0.0 differ) is written once, by Python, into
+    the layout's bytes.  One translate drops the NULs; then Python's text
+    of each cell that falls back replaces its _MARK, in row order.
+    """
+    lead, between, end, last_sep = _LAYOUTS[json_] if layout is None else layout
+    n = len(cols[0])
+    if n == 0:
+        return b""
+    # the row's parts, each (size in words, the layout's bytes as words, or a column and its cell's separator)
+    parts, literal = [], bytearray(lead)
+    for j, v in enumerate(cols):
+        sep = b"," if j < len(cols) - 1 else last_sep
+        bits = v.view(f"u{v.itemsize}")
+        if n > 1 and (bits == bits[0]).all():
+            literal += _text(v[0].item() if v.dtype == bool else float(v[0]), json_).encode() + sep
+        else:
+            if literal:
+                parts.append((len(_words(literal)), _words(literal), None, None))
+            parts.append((1 if v.dtype == bool else _ROW // 8, None, v, sep))
+            literal = bytearray()
+        if j < len(cols) - 1:
+            literal += between
+    literal += end
+    if literal:
+        parts.append((len(_words(literal)), _words(literal), None, None))
+
+    buf = bytearray(8 * n * sum(p[0] for p in parts))
+    words = np.frombuffer(buf, dtype="<u8").reshape(n, -1)
+    floats, fallbacks, at = [], [], 0
+    for size, layout_words, v, sep in parts:
+        slot = words[:, at : at + size]
+        at += size
+        if v is None:
+            slot[:] = layout_words
+        elif v.dtype == bool:
+            table = _words(b"".join((_text(b, json_).encode() + sep).ljust(8, b"\0") for b in (False, True)))
+            slot[:, 0] = table[v.view(np.uint8)]
+        else:
+            floats.append(np.asarray(v, dtype=float))
+            fallbacks.append(_fill(floats[-1], json_, slot, sep))
+    out = buf.translate(None, b"\0")
+    if floats and any(f.any() for f in fallbacks):
+        bad = np.stack(fallbacks, axis=1)
+        texts = [_text(x, json_).encode() for x in np.stack(floats, axis=1)[bad].tolist()]
+        out = b"".join(itertools.chain.from_iterable(zip(out.split(_MARK), [*texts, b""])))
     return out
+
+
+def cells(v: np.ndarray, json_: bool = False) -> list:
+    """'%.17g' % x, or for json_ repr(x), for each x of v: the cells rows writes, one str each, for checks."""
+    return rows([np.asarray(v, dtype=float)], json_, _LAYOUTS[0]).decode().split("\n")[:-1]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -15,6 +16,7 @@ from .sweep import (
     MODES,
     SweepConfig,
     SweepRange,
+    _sink,
     run_beta_sweep,
     run_lloyd,
     run_omega_sweep,
@@ -82,14 +84,6 @@ def _config_from_args(args) -> SweepConfig:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -110,10 +104,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    # verify writes its report as JSON whatever --format says
-    text = result.to_csv() if args.format == "csv" and config.mode != "verify" else result.to_json() + "\n"
     try:
-        _emit(text, args.out)
+        with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "wb") as stream:
+            write = _sink(stream)
+            if config.mode == "verify":
+                # the report is small; it is JSON whatever --format says
+                write((result.to_json() + "\n").encode())
+            elif args.format == "csv":
+                result.to_csv(stream)
+            else:
+                result.to_json(stream)
+                write(b"\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -229,7 +229,12 @@ def complexity_rate(t, params: PhysicalParams):
     temperature.  The rate is exactly 0 at beta = inf and at
     omega = omega_ref, where s = 0.  Broadcasts like ``complexity``.
     """
-    c, s, r_c, r_s, a_c, a_s = _kernel(t, params)
+    return _rate(_kernel(t, params), t, params)
+
+
+def _rate(kernel: tuple, t, params: PhysicalParams):
+    """complexity_rate(t, params) from kernel = _kernel(t, params), whose C is complexity(t, params)."""
+    c, s, r_c, r_s, a_c, a_s = kernel
     # e^{-theta/2} = 1/(r + sqrt(1 + r^2)); rho and eta are sinh and cosh of theta/2 times it
     g_c, g_s = np.hypot(1.0, r_c), np.hypot(1.0, r_s)
     w_c, w_s = 1.0 / (r_c + g_c), 1.0 / (r_s + g_s)

@@ -7,6 +7,7 @@ output can be reproduced from its own header.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -18,6 +19,8 @@ from . import fock
 from . import landau
 from .complexity import (
     PhysicalParams,
+    _kernel,
+    _rate,
     _require,
     complexity,
     complexity_rate,
@@ -42,7 +45,8 @@ __all__ = [
 MODES = ("time-series", "beta-sweep", "omega-sweep", "lloyd", "verify")
 # the swept field of each grid mode and the size of its default grid
 _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("beta", 25)}
-# rows serialised per pass: the table is never held whole as Python floats
+# rows computed and written per pass: no table is held whole as text, and no time series temporary holds
+# more than this many points
 _CHUNK = 4096
 
 
@@ -142,49 +146,42 @@ class SweepTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[[c[0] for c in self.columns].index(name)]
 
-    def _body(self, json_: bool) -> list:
-        """The rows as text pieces, _CHUNK rows per piece: CSV lines, or the rows of json.dumps(indent=2)."""
-        n = min(map(len, self.values), default=0)
-        if n == 0:
-            return []
-        cols = [np.ascontiguousarray(v[:n]) for v in self.values]
-        cell_sep, row_open, row_sep, row_close = (
-            (",\n      ", "\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ") if json_ else (",", "", "\n", "\n")
-        )
-        parts = [row_open]
-        for i in range(0, n, _CHUNK):
-            cells = [_cells(v[i : i + _CHUNK], json_) for v in cols]
-            parts += [row_sep.join(map(cell_sep.join, zip(*cells))), row_sep]
-        parts[-1] = row_close
-        return parts
+    def _length(self) -> int:
+        return min(map(len, self.values), default=0)
 
-    def to_csv(self) -> str:
+    def _write(self, stream, json_: bool, head: str, tail: str) -> None:
+        """Write head, the rows _CHUNK at a time as one bytes object each, and tail to a binary or text stream."""
+        from . import _g17  # loaded on the first table write, not at import
+
+        write = _sink(stream)
+        write(head.encode())
+        n = self._length()
+        for i in range(0, n, _CHUNK):
+            chunk = _g17.rows([v[i : min(i + _CHUNK, n)] for v in self.values], json_)
+            # the first JSON row has no row before it to part from
+            write(memoryview(chunk)[1:] if json_ and i == 0 else chunk)
+        write(tail.encode())
+
+    def to_csv(self, stream) -> None:
+        """Write the table as CSV to stream, binary or text: '# key=value' metadata lines, the header, the rows."""
         head = [f"# {key}={_fmt_meta(value)}\n" for key, value in self.metadata.items()]
         head.append(",".join(f"{name} ({unit})" for name, unit in self.columns) + "\n")
-        return "".join(head + self._body(json_=False))
+        self._write(stream, False, "".join(head), "")
 
-    def to_json(self) -> str:
+    def to_json(self, stream) -> None:
+        """Write the table to stream, binary or text, as json.dumps(indent=2) writes it, with no final newline."""
         # json renders the small columns and metadata blocks around an empty rows list; every line of the
         # columns block above it is indented deeper, so the first two-space match is the rows key
         doc = {"columns": [{"name": n, "unit": u} for n, u in self.columns], "rows": [], "metadata": self.metadata}
         head, _, tail = json.dumps(doc, indent=2).partition('\n  "rows": []')
-        return "".join([head, '\n  "rows": [', *self._body(json_=True), "]", tail])
+        self._write(stream, True, head + '\n  "rows": [', ("\n  ]" if self._length() else "]") + tail)
 
 
-def _cells(v: np.ndarray, json_: bool) -> list:
-    """Cell strings of one column chunk; a chunk of bitwise-identical values is formatted once.
-
-    Bits, not ==, decide identity, so -0.0 and 0.0 keep their own text.
-    """
-    bits = v.view(np.uint8).reshape(len(v), -1)
-    if len(v) > 1 and (bits == bits[0]).all():
-        return _cells(v[:1], json_) * len(v)
-    if v.dtype == bool:
-        # bools print as 0/1 in CSV
-        return list(map(("false", "true").__getitem__ if json_ else "%d".__mod__, v.tolist()))
-    from . import _g17  # compiled and loaded on the first table write, not at import
-
-    return _g17.cells(v, json_)
+def _sink(stream):
+    """A write for bytes to stream; a text stream, such as sys.stdout or io.StringIO, gets them as str."""
+    if isinstance(stream, io.TextIOBase):
+        return lambda b: stream.write(str(b, "utf-8"))
+    return stream.write
 
 
 def _fmt_meta(v) -> str:
@@ -217,11 +214,18 @@ def run_time_series(config: SweepConfig) -> SweepTable:
     for beta in config.betas:
         columns.append((f"complexity[beta={_beta_label(beta)}]", "dimensionless"))
         columns.append((f"rate[beta={_beta_label(beta)}]", "1/time"))
-        if beta == 0.0:
-            values += [np.full(len(ts), math.inf), high_T_rate_limit(ts, p)]
-        else:
-            pb = p.with_(beta=beta)
-            values += [complexity(ts, pb), complexity_rate(ts, pb)]
+        c, rate = np.full(len(ts), math.inf), np.empty(len(ts))
+        pb = p.with_(beta=beta) if beta > 0.0 else None
+        # _CHUNK times at a time, so the kernel's temporaries stay small; one kernel pass gives C and the rate
+        for i in range(0, len(ts), _CHUNK):
+            t = ts[i : i + _CHUNK]
+            if pb is None:
+                rate[i : i + _CHUNK] = high_T_rate_limit(t, p)
+            else:
+                kernel = _kernel(t, pb)
+                c[i : i + _CHUNK] = kernel[0]
+                rate[i : i + _CHUNK] = _rate(kernel, t, pb)
+        values += [c, rate]
     meta = _base_metadata(config)
     if any(b == 0.0 for b in config.betas):
         meta["beta0_note"] = "complexity column is the divergent high-temperature limit (inf); rate from the closed-form limit"

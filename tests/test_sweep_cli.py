@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -222,6 +223,24 @@ class TestArrayPath:
                     pb = p.with_(beta=beta)
                     assert (c, r) == (complexity(t, pb), complexity_rate(t, pb))
 
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1, 50_000])
+    def test_time_series_chunks_equal_whole_columns(self, n):
+        # run_time_series evaluates _CHUNK times at a time; each column is the whole-array call, bit for bit
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            omega, omega_ref = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-30.0, 30.0)
+            p = PhysicalParams(omega=omega, omega_ref=omega_ref, beta=1.0)
+            betas = (math.inf, *(10.0 ** rng.uniform(-3.0, 3.0, 2) / omega), 0.0)
+            cfg = small_config("time-series", params=p, betas=betas, range_=SweepRange(0.0, 2.0 * p.period, n))
+            got = run_time_series(cfg).values
+            ts = got[0]
+            want = [ts]
+            for beta in betas:
+                pb = p.with_(beta=beta) if beta > 0.0 else None
+                want += [np.full(n, math.inf), high_T_rate_limit(ts, p)] if pb is None else [complexity(ts, pb), complexity_rate(ts, pb)]
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes()
+
     def test_beta_sweep_bit_for_bit(self):
         cfg = small_config("beta-sweep", range_=SweepRange(1e-3, 1e3, 40, log=True))
         table = run_beta_sweep(cfg)
@@ -284,7 +303,7 @@ class TestLloyd:
 class TestSerialization:
     def test_csv_shape(self):
         table = run_time_series(small_config("time-series", betas=(1.0,)))
-        lines = table.to_csv().splitlines()
+        lines = written(table.to_csv).splitlines()
         meta = [ln for ln in lines if ln.startswith("# ")]
         body = [ln for ln in lines if not ln.startswith("# ")]
         for ln in meta:
@@ -296,20 +315,27 @@ class TestSerialization:
 
     def test_csv_deterministic(self):
         cfg = small_config("beta-sweep", range_=SweepRange(0.1, 10.0, 6, log=True))
-        assert run_beta_sweep(cfg).to_csv() == run_beta_sweep(cfg).to_csv()
+        assert written(run_beta_sweep(cfg).to_csv) == written(run_beta_sweep(cfg).to_csv)
 
     def test_csv_full_precision(self):
         table = run_time_series(small_config("time-series", betas=(2.0,)))
-        lines = table.to_csv().splitlines()
+        lines = written(table.to_csv).splitlines()
         first = [ln for ln in lines if not ln.startswith("#")][1]
         val = float(first.split(",")[1])
         assert val == table.column("complexity[beta=2]")[0]
 
     def test_json_loadable_with_inf(self):
         table = run_time_series(small_config("time-series", betas=(0.0,)))
-        doc = json.loads(table.to_json())
+        doc = json.loads(written(table.to_json))
         assert doc["rows"][0][1] == "inf"
         assert [c["name"] for c in doc["columns"]] == [c[0] for c in table.columns]
+
+
+def written(write) -> str:
+    """The text a table writer, such as table.to_csv, writes to a text stream."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
 
 
 def reference_csv(table: SweepTable) -> str:
@@ -358,8 +384,8 @@ class TestChunkedSerialization:
     @pytest.mark.parametrize("n", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     def test_byte_identical_to_reference(self, n):
         table = feature_table(n)
-        assert first_difference(table.to_csv(), reference_csv(table)) is None
-        assert first_difference(table.to_json(), reference_json(table)) is None
+        assert first_difference(written(table.to_csv), reference_csv(table)) is None
+        assert first_difference(written(table.to_json), reference_json(table)) is None
 
     def test_constant_chunk_keeps_signed_zero(self):
         # chunks of 0.0, of both zeros and of -0.0, which all compare equal to 0.0
@@ -367,8 +393,8 @@ class TestChunkedSerialization:
         zero[3 * _CHUNK // 2 :] = -0.0
         table = SweepTable(columns=[("zero", "1")], values=[zero])
         sign = np.copysign(1.0, zero).tolist()
-        assert table.to_csv().splitlines()[1:] == ["-0" if s < 0 else "0" for s in sign]
-        assert [math.copysign(1.0, r[0]) for r in json.loads(table.to_json())["rows"]] == sign
+        assert written(table.to_csv).splitlines()[1:] == ["-0" if s < 0 else "0" for s in sign]
+        assert [math.copysign(1.0, r[0]) for r in json.loads(written(table.to_json))["rows"]] == sign
 
     def test_sweep_tables_byte_identical_to_reference(self):
         tables = [
@@ -377,8 +403,8 @@ class TestChunkedSerialization:
             run_lloyd(small_config("lloyd", range_=SweepRange(0.05, 50.0, 9, log=True))),
         ]
         for table in tables:
-            assert first_difference(table.to_csv(), reference_csv(table)) is None
-            assert first_difference(table.to_json(), reference_json(table)) is None
+            assert first_difference(written(table.to_csv), reference_csv(table)) is None
+            assert first_difference(written(table.to_json), reference_json(table)) is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -394,6 +420,120 @@ class TestChunkedSerialization:
         path = tmp_path / "table"
         assert main([*argv, "--out", str(path)]) == 0
         assert path.read_bytes() == stdout.encode()
+
+
+class RecordingText(io.StringIO):
+    """A text stream that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class RecordingFile(io.BufferedWriter):
+    """A binary file that records the size of every write."""
+
+    def __init__(self, path):
+        super().__init__(io.FileIO(path, "w"))
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class Discard(io.RawIOBase):
+    """A binary stream that counts the bytes written to it and keeps none."""
+
+    size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
+def chunk_bound(table: SweepTable, reference) -> int:
+    """The size of the reference text of the largest _CHUNK rows, with the header and the tail around them."""
+    n = min(map(len, table.values))
+    parts = [SweepTable(table.columns, [v[i : i + _CHUNK] for v in table.values], table.metadata) for i in range(0, n, _CHUNK)]
+    return max(len(reference(t)) for t in parts or [table])
+
+
+class TestStreaming:
+    """Tables go to the stream _CHUNK rows a write: no write holds more than one chunk with the header or tail."""
+
+    TABLES = {
+        "short": lambda: feature_table(_CHUNK - 1),
+        "chunk": lambda: feature_table(_CHUNK),
+        "chunk+1": lambda: feature_table(_CHUNK + 1),
+        "2chunks+1": lambda: feature_table(2 * _CHUNK + 1),
+        # the beta=inf and beta=0 columns are bitwise identical in each chunk
+        "time-series": lambda: run_time_series(
+            small_config("time-series", betas=(math.inf, 2.0, 0.0), samples_per_period=_CHUNK + 1)
+        ),
+    }
+
+    def check(self, table, writer, sizes, text):
+        reference = {"to_csv": reference_csv, "to_json": reference_json}[writer]
+        assert first_difference(text, reference(table)) is None
+        assert max(sizes) <= chunk_bound(table, reference)
+        if min(map(len, table.values)) > _CHUNK:
+            assert chunk_bound(table, reference) < len(text)
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    @pytest.mark.parametrize("make", TABLES.values(), ids=TABLES.keys())
+    def test_binary_file(self, make, writer, tmp_path):
+        table = make()
+        with RecordingFile(tmp_path / "table") as fh:
+            getattr(table, writer)(fh)
+        self.check(table, writer, fh.sizes, (tmp_path / "table").read_bytes().decode())
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    @pytest.mark.parametrize("make", TABLES.values(), ids=TABLES.keys())
+    def test_text_stream(self, make, writer):
+        table, buf = make(), RecordingText()
+        getattr(table, writer)(buf)
+        self.check(table, writer, buf.sizes, buf.getvalue())
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    def test_captured_stdout(self, writer, capsys, monkeypatch):
+        table, sizes = self.TABLES["time-series"](), []
+        write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: sizes.append(len(text)) or write(text))
+        getattr(table, writer)(sys.stdout)
+        self.check(table, writer, sizes, capsys.readouterr().out)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # beyond the columns, writing holds one chunk's arrays and bytes, whatever the row count
+        peaks = []
+        for n in (4 * _CHUNK, 16 * _CHUNK):
+            x = np.random.default_rng(n).normal(size=(5, n)) * 10.0 ** np.arange(-2, 3)[:, None]
+            table, sink = SweepTable(columns=[(f"x{i}", "1") for i in range(5)], values=list(x)), Discard()
+            tracemalloc.start()
+            table.to_csv(sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sink.size / 2
+
+
+def test_log_grid_decades_are_proven_in_the_pass():
+    # log10 rounds up to k just below 10^k (1e-7 gives -7): the pass then steps k down instead of falling back
+    grid = np.logspace(-12, 3, 4096)
+    powers = np.array([float(f"1e{q}") for q in range(-280, 280)])
+    assert _g17.digits17(grid)[2].all() and _g17.digits17(powers)[2].all()
+    assert _g17.shortest(grid)[2].all()
+    # two powers keep repr's own fallback: 1e16 lies in [2^53, 1e17), where both ends of its interval are
+    # integers on the scaled axis, and 10^23 itself is the midpoint above the double nearest it
+    assert powers[~_g17.shortest(powers)[2]].tolist() == [1e16, 1e23]
+    assert mismatches(np.concatenate([grid, powers])) == []
+    assert mismatches(np.concatenate([grid, powers]), json_=True) == []
 
 
 def python_cells(x: np.ndarray, json_: bool = False) -> list:
@@ -531,23 +671,11 @@ class TestShortestCells:
         assert mismatches(np.array(several), json_=True) == []
 
     def test_array_pass_writes_the_sweeps(self):
-        # on a sweep's columns the fallback is a guard for single values (here the grid's powers of ten, whose
-        # log10 may round up), not a second writer
+        # on a sweep's columns the fallback is a guard for single values, not a second writer
         table = run_beta_sweep(small_config("beta-sweep", range_=SweepRange(1e-12, 1e3, _CHUNK, log=True)))
         x = np.concatenate(table.values)
         assert np.count_nonzero(~_g17.shortest(x)[2]) <= len(x) // 1000
         assert mismatches(x, json_=True) == []
-
-
-def repr_json_cells(v: np.ndarray, json_: bool) -> list:
-    """The JSON cells as sweep wrote them before the array pass: repr per value, then inf and NaN patched."""
-    assert json_
-    if v.dtype == bool:
-        return list(map(("false", "true").__getitem__, v.tolist()))
-    cells = list(map(repr, v.tolist()))
-    for i in np.flatnonzero(~np.isfinite(v)):
-        cells[i] = '"inf"' if np.isinf(v[i]) else "NaN"
-    return cells
 
 
 @pytest.mark.parametrize(
@@ -561,11 +689,10 @@ def repr_json_cells(v: np.ndarray, json_: bool) -> list:
     ],
     ids=["beta-sweep", "omega-sweep", "constant-nan-inf"],
 )
-def test_json_bytes_equal_the_repr_writer(make, monkeypatch):
+def test_json_bytes_equal_the_repr_writer(make):
+    # json.dumps writes each float cell as repr(x)
     table = make()
-    got = table.to_json()
-    monkeypatch.setattr(sweep, "_cells", repr_json_cells)
-    assert first_difference(got, table.to_json()) is None
+    assert first_difference(written(table.to_json), reference_json(table)) is None
 
 
 class TestVerify:
