@@ -1,16 +1,16 @@
 """Exact '%.17g' % x and repr(x) text for a float array, by one numpy pass.
 
 The table writer of sweep lays out every chunk of rows here, as one byte
-array: its CSV float cells in the first style, its JSON ones in the
-second.  Python's own '%.17g' % x or repr(x) runs only for the values the
-pass cannot prove exact, and for a column whose values in the chunk are
-all the same.
+array in the row layout it passes: its CSV float cells in the first style,
+its JSON ones in the second.  Python's own '%.17g' % x or repr(x) runs only
+for the values the pass cannot prove exact, whose text it writes into the
+cell's own slot, and for a column whose values in the chunk are all the
+same.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -58,7 +58,7 @@ def _tables() -> tuple:
     each group, and per (sign, style, form, digits kept) the mask of the
     bytes that make a cell and its separator, as words of 0xFF and 0x00
     bytes: style 0 is '%.17g', style 1 is repr, which writes an integral
-    fixed value with '.0'.  The last mask keeps the separator alone.
+    fixed value with '.0'.
     """
     c, b = np.divmod(np.arange(16 - _K_MAX, 17 - _K_MIN), 22)
     coarse = []
@@ -100,8 +100,6 @@ def _tables() -> tuple:
         | ((at == 42) & (form == _FORMS - 1))  # a third exponent digit
         | (at == 45)
     ).reshape(-1, _ROW)
-    # a last mask for the cells that fall back: their separator alone
-    mask = np.vstack([mask, np.arange(_ROW) == 45])
     tables = (
         hi, *_split(hi), lo,
         quads.astype("<u8"), trailing.astype(np.uint8), exps.astype("<u8"),
@@ -223,14 +221,6 @@ def shortest(x: np.ndarray) -> tuple:
     return np.where(exact & ~top, d, 10**16), k + top, exact
 
 
-# the row layouts of the two styles: the bytes before a row's first cell, between a cell's ',' and the next
-# cell, and after the last cell, and the last cell's separator.  A JSON row opens with the ',' that parts it
-# from the row before; the writer drops the first row's.
-_LAYOUTS = ((b"", b"", b"", b"\n"), (b",\n    [\n      ", b"\n      ", b"\n    ]", b""))
-# a cell that falls back holds this byte until Python's text replaces it; no cell and no layout holds it
-_MARK = b"\1"
-
-
 def _text(x, json_: bool) -> str:
     """Python's own text of one cell: a bool as 0/1 or false/true, '%.17g' % x, or repr(x) with the string
     "inf" for +-inf and NaN for NaN, since JSON has no infinity literal."""
@@ -246,8 +236,8 @@ def _words(b: bytes) -> np.ndarray:
     return np.frombuffer(b.ljust(-(-len(b) // 8) * 8, b"\0"), dtype="<u8")
 
 
-def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> np.ndarray:
-    """Lay out each x and sep in its slot, a row of words (n, 6); return where Python must write the cell.
+def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
+    """Lay out each x and sep in its slot, a row of words (n, 6).
 
     digits17 or shortest gives each |x| as a 17-digit integer d; d goes
     to ASCII four digits a word, from a table, and a byte mask per
@@ -255,7 +245,7 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> np.ndarr
     exponent form, with its trailing zeros stripped, out of one slot
     layout: every byte the mask drops becomes NUL.  repr writes fixed
     notation up to k = 15, '%.17g' up to 16.  Where the digits are not
-    proven, the slot holds _MARK and sep.
+    proven, the slot holds Python's text, NUL-padded to sep at byte 45.
     """
     quads, trailing, exps, mask = _tables()[4:]
     n = len(x)
@@ -283,25 +273,29 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> np.ndarr
     zeros = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
     form = np.where((k >= -4) & (k <= 16 - json_), k + 4, _FORMS - 2 + (np.abs(k) >= 100))
     cell = (((x < 0) * 2 + json_) * _FORMS + form) * 17 + 16 - zeros
-    np.bitwise_and(src.T, mask.take(np.where(exact, cell, len(mask) - 1), axis=0), out=words)
-    fallback = ~exact
-    words[:, 0] |= fallback
-    return fallback
+    np.bitwise_and(src.T, mask.take(cell, axis=0), out=words)
+    # Python's text of a double is at most 24 bytes: it fits before the separator's byte
+    bad = np.flatnonzero(~exact)
+    if len(bad):
+        texts = b"".join((_text(v, json_).encode().ljust(45, b"\0") + sep).ljust(_ROW, b"\0") for v in x[bad].tolist())
+        words[bad] = np.frombuffer(texts, dtype="<u8").reshape(-1, _ROW // 8)
 
 
-def rows(cols: list, json_: bool = False, layout: tuple | None = None) -> bytes:
+def rows(cols: list, json_: bool, layout: tuple) -> bytes:
     """The text of a chunk of table rows, row i holding value i of each column, by one array pass.
 
-    The chunk is laid out as one byte array, a row of it per table row:
-    the layout's bytes, with each cell's slot between them ending in ','
-    or the last cell's separator, and each part padded with NUL to whole
-    8-byte words.  A float column's slot is _fill's, a bool column's its
-    text from a table.  A column whose values in the chunk are bitwise
-    identical (so -0.0 and 0.0 differ) is written once, by Python, into
-    the layout's bytes.  One translate drops the NULs; then Python's text
-    of each cell that falls back replaces its _MARK, in row order.
+    layout is the bytes before a row's first cell, between a cell's ','
+    and the next cell, and after the last cell, and the last cell's
+    separator.  The chunk is laid out as one byte array, a row of it per
+    table row: the layout's bytes, with each cell's slot between them
+    ending in ',' or the last cell's separator, and each part padded with
+    NUL to whole 8-byte words.  A float column's slot is _fill's, Python's
+    text included where the pass falls back, a bool column's its text from
+    a table.  A column whose values in the chunk are bitwise identical (so
+    -0.0 and 0.0 differ) is written once, by Python, into the layout's
+    bytes.  One translate drops the NULs and gives the chunk's text.
     """
-    lead, between, end, last_sep = _LAYOUTS[json_] if layout is None else layout
+    lead, between, end, last_sep = layout
     n = len(cols[0])
     if n == 0:
         return b""
@@ -325,26 +319,15 @@ def rows(cols: list, json_: bool = False, layout: tuple | None = None) -> bytes:
 
     buf = bytearray(8 * n * sum(p[0] for p in parts))
     words = np.frombuffer(buf, dtype="<u8").reshape(n, -1)
-    floats, fallbacks, at = [], [], 0
-    for size, layout_words, v, sep in parts:
+    at = 0
+    for size, template, v, sep in parts:
         slot = words[:, at : at + size]
         at += size
         if v is None:
-            slot[:] = layout_words
+            slot[:] = template
         elif v.dtype == bool:
             table = _words(b"".join((_text(b, json_).encode() + sep).ljust(8, b"\0") for b in (False, True)))
             slot[:, 0] = table[v.view(np.uint8)]
         else:
-            floats.append(np.asarray(v, dtype=float))
-            fallbacks.append(_fill(floats[-1], json_, slot, sep))
-    out = buf.translate(None, b"\0")
-    if floats and any(f.any() for f in fallbacks):
-        bad = np.stack(fallbacks, axis=1)
-        texts = [_text(x, json_).encode() for x in np.stack(floats, axis=1)[bad].tolist()]
-        out = b"".join(itertools.chain.from_iterable(zip(out.split(_MARK), [*texts, b""])))
-    return out
-
-
-def cells(v: np.ndarray, json_: bool = False) -> list:
-    """'%.17g' % x, or for json_ repr(x), for each x of v: the cells rows writes, one str each, for checks."""
-    return rows([np.asarray(v, dtype=float)], json_, _LAYOUTS[0]).decode().split("\n")[:-1]
+            _fill(np.asarray(v, dtype=float), json_, slot, sep)
+    return buf.translate(None, b"\0")

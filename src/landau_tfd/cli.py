@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 
 from .complexity import PhysicalParams
@@ -51,28 +50,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="TFD complexity sweeps for a charged particle in a magnetic field",
     )
     parser.add_argument("--mode", required=True, choices=MODES)
-    parser.add_argument("--omega", type=float, default=0.1, help="cyclotron frequency")
-    parser.add_argument("--omega-ref", type=float, default=1.0, help="reference frequency")
+    # every default is the field default of PhysicalParams or SweepConfig
+    parser.add_argument("--omega", type=float, default=PhysicalParams.omega, help="cyclotron frequency")
+    parser.add_argument("--omega-ref", type=float, default=PhysicalParams.omega_ref, help="reference frequency")
     parser.add_argument(
         "--beta",
         type=float,
         action="append",
         help="inverse temperature; repeatable for multi-curve time series; accepts 'inf'",
     )
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--mass", type=float, default=1.0)
+    parser.add_argument("--hbar", type=float, default=PhysicalParams.hbar)
+    parser.add_argument("--mass", type=float, default=PhysicalParams.mass)
     parser.add_argument("--range", type=_parse_range, dest="range_", metavar="START:STOP:COUNT[:log]")
-    parser.add_argument("--samples", type=int, default=256, help="time samples per period")
+    parser.add_argument("--samples", type=int, default=SweepConfig.samples_per_period, help="time samples per period")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--fock-dim", type=int, default=60, help="Fock-space truncation for verify")
+    parser.add_argument("--fock-dim", type=int, default=SweepConfig.fock_dim, help="Fock-space truncation for verify")
     return parser
 
 
 def _config_from_args(args) -> SweepConfig:
-    betas = tuple(args.beta) if args.beta else (math.inf, 1.0, 0.0)
+    betas = tuple(args.beta) if args.beta else SweepConfig.betas
     # a time series draws one curve per beta, 0 included; every other mode runs at the first one
-    scalar_beta = next((b for b in betas if b > 0.0), 1.0) if args.mode == "time-series" else betas[0]
+    scalar_beta = next((b for b in betas if b > 0.0), PhysicalParams.beta) if args.mode == "time-series" else betas[0]
     params = PhysicalParams(hbar=args.hbar, mass=args.mass, omega=args.omega, omega_ref=args.omega_ref, beta=scalar_beta)
     return SweepConfig(
         mode=args.mode,

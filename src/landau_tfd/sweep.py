@@ -48,6 +48,10 @@ _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("b
 # rows computed and written per pass: no table is held whole as text, and no time series temporary holds
 # more than this many points
 _CHUNK = 4096
+# the row layouts of CSV and of json.dumps(indent=2): the bytes before a row's first cell, between a cell's ','
+# and the next cell, and after the last cell, and the last cell's separator.  A JSON row opens with the ','
+# that parts it from the row before; the writer drops the first row's.
+_LAYOUTS = ((b"", b"", b"", b"\n"), (b",\n    [\n      ", b"\n      ", b"\n    ]", b""))
 
 
 def _require_int(value, name: str) -> None:
@@ -143,11 +147,17 @@ class SweepTable:
     values: list  # one 1-D array per column, in the same order
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if len(self.columns) != len(self.values):
+            raise ValueError(f"{len(self.columns)} (name, unit) pairs for {len(self.values)} columns")
+        if len(set(map(len, self.values))) > 1:
+            raise ValueError(f"columns must have equal length, got {[len(v) for v in self.values]}")
+
     def column(self, name: str) -> np.ndarray:
         return self.values[[c[0] for c in self.columns].index(name)]
 
     def _length(self) -> int:
-        return min(map(len, self.values), default=0)
+        return len(self.values[0]) if self.values else 0
 
     def _write(self, stream, json_: bool, head: str, tail: str) -> None:
         """Write head, the rows _CHUNK at a time as one bytes object each, and tail to a binary or text stream."""
@@ -157,7 +167,7 @@ class SweepTable:
         write(head.encode())
         n = self._length()
         for i in range(0, n, _CHUNK):
-            chunk = _g17.rows([v[i : min(i + _CHUNK, n)] for v in self.values], json_)
+            chunk = _g17.rows([v[i : min(i + _CHUNK, n)] for v in self.values], json_, _LAYOUTS[json_])
             # the first JSON row has no row before it to part from
             write(memoryview(chunk)[1:] if json_ and i == 0 else chunk)
         write(tail.encode())

@@ -1,17 +1,20 @@
 """Laguerre polynomials, wavefunctions, and the ladder-operator oracle."""
 
 import ast
+import importlib
 import math
 import pathlib
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+import landau_tfd
 from landau_tfd import landau
 from landau_tfd import (
     PhysicalParams,
@@ -368,3 +371,14 @@ def test_readme_lists_every_export():
         module, names = item.lstrip("- ").split(":", 1)
         listed[module.strip("`")] = set(re.findall(r"`(\w+)`", names))
     assert listed == exports
+
+
+def test_complexity_name_binds_the_function():
+    # the package re-exports the function complexity under its module's name (README "Library use"):
+    # "import ... as" binds the function, while a from-import or importlib reaches the module
+    import landau_tfd.complexity as bound
+    from landau_tfd.complexity import PhysicalParams as imported
+
+    module = importlib.import_module("landau_tfd.complexity")
+    assert bound is landau_tfd.complexity is module.complexity and not isinstance(bound, types.ModuleType)
+    assert isinstance(module, types.ModuleType) and imported is module.PhysicalParams is PhysicalParams

@@ -38,7 +38,7 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
-from landau_tfd import _g17, landau, sweep
+from landau_tfd import _g17, cli, landau, sweep
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -422,6 +422,50 @@ class TestChunkedSerialization:
         assert path.read_bytes() == stdout.encode()
 
 
+# values the pass proves in neither style: the zeros, the infinities, NaN, the '%.17g' tie 2^-25 (repr's
+# interval ends fall within the guard there too), a subnormal, and magnitudes outside [1e-280, 1e280)
+UNPROVEN = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**-25, 5e-324, 1e300, -1e-300])
+
+
+def unproven_table(n: int, where: int, every_row: bool) -> SweepTable:
+    """Three float columns of proven values, with column where unproven in every row or in every seventh."""
+    rng = np.random.default_rng([n, where])
+    values = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) for _ in range(3)]
+    picked = slice(None) if every_row else slice(where, None, 7)
+    values[where][picked] = np.resize(UNPROVEN, len(values[where][picked]))
+    return SweepTable(columns=[("a", "1"), ("b", "1"), ("c", "1")], values=values)
+
+
+def test_unproven_values_prove_in_neither_style():
+    assert not _g17.digits17(UNPROVEN)[2].any() and not _g17.shortest(UNPROVEN)[2].any()
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("every_row", [False, True], ids=["some-rows", "every-row"])
+def test_unproven_cells_in_every_column_position(n, where, every_row):
+    # Python's text fills an unproven cell's slot up to its separator; the last JSON column has none
+    table = unproven_table(n, where, every_row)
+    assert first_difference(written(table.to_csv), reference_csv(table)) is None
+    assert first_difference(written(table.to_json), reference_json(table)) is None
+
+
+class TestTableShape:
+    def test_ragged_columns_raise(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SweepTable(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(5.0)])
+
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_column_count_mismatch_raises(self, pairs):
+        with pytest.raises(ValueError, match="pairs for 2 columns"):
+            SweepTable(columns=[("a", "1"), ("b", "1"), ("c", "1")][:pairs], values=[np.arange(3.0), np.arange(3.0)])
+
+    def test_zero_rows(self):
+        table = SweepTable(columns=[("a", "1"), ("b", "bool")], values=[np.empty(0), np.empty(0, dtype=bool)])
+        assert written(table.to_csv) == "a (1),b (bool)\n" == reference_csv(table)
+        assert written(table.to_json) == reference_json(table)
+
+
 class RecordingText(io.StringIO):
     """A text stream that records the size of every write."""
 
@@ -543,9 +587,14 @@ def python_cells(x: np.ndarray, json_: bool = False) -> list:
     return ['"inf"' if math.isinf(v) else "NaN" if math.isnan(v) else repr(v) for v in x.tolist()]
 
 
+def cells(x: np.ndarray, json_: bool = False) -> list:
+    """The cells _g17.rows writes for each x, one str each, read through the CSV row layout."""
+    return _g17.rows([np.asarray(x, dtype=float)], json_, sweep._LAYOUTS[0]).decode().split("\n")[:-1]
+
+
 def mismatches(x: np.ndarray, json_: bool = False) -> list:
-    """The first few (value, array cell, Python cell) where _g17.cells differs from python_cells."""
-    got, want = _g17.cells(x, json_), python_cells(x, json_)
+    """The first few (value, array cell, Python cell) where the cells of _g17.rows differ from python_cells."""
+    got, want = cells(x, json_), python_cells(x, json_)
     assert len(got) == len(want)
     return [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -602,7 +651,7 @@ class TestExactCells:
         # 2^-25 = 2.98023223876953125e-08 has 18 digits and ends in 5: round half to even gives ...812
         x = np.array([2.0**-25, 1.5, 0.1])
         assert _g17.digits17(x)[2].tolist() == [False, True, True]
-        assert _g17.cells(x) == ["2.9802322387695312e-08", "1.5", "0.10000000000000001"]
+        assert cells(x) == ["2.9802322387695312e-08", "1.5", "0.10000000000000001"]
 
     def test_array_pass_writes_the_time_series(self):
         # the fallback is a guard for single values, not a second writer
@@ -660,7 +709,7 @@ class TestShortestCells:
         # fixed notation through k = 15, an integral fixed value with '.0', and the sign of zero
         x = np.array([9999999999999998.0, 1e16, 0.0001, 0.00001, 100.0, -0.0, 123456789012345.6, 1.5e-5, -2.5])
         want = ["9999999999999998.0", "1e+16", "0.0001", "1e-05", "100.0", "-0.0", "123456789012345.6", "1.5e-05", "-2.5"]
-        assert _g17.cells(x, json_=True) == want
+        assert cells(x, json_=True) == want
 
     def test_several_candidates(self):
         # 16 and 17 digits with two or more candidates of that length between the midpoints: repr takes the nearest
@@ -843,6 +892,29 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "satisfied (bool)" in out
+
+    def test_lloyd_violation(self, capsys):
+        # at omega_ref / omega = 1e12 the rate passes the bound at beta = 0.25 and 0.3 (README "The Lloyd bound")
+        argv = ["--mode", "lloyd", "--omega", "1", "--omega-ref", "1e12", "--range", "0.2:0.35:4"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert [ln.split()[0] for ln in captured.err.splitlines()] == ["Lloyd", "beta=0.25", "beta=0.3"]
+        rows = [ln.split(",") for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
+        assert [r[3] for r in rows] == ["1", "0", "0", "1"]
+        assert main([*argv, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        # the bool slot of each row, mixed within the chunk
+        assert json.dumps([r[3] for r in json.loads(captured.out)["rows"]]) == "[true, false, false, true]"
+        assert [ln.split()[0] for ln in captured.err.splitlines()] == ["Lloyd", "beta=0.25", "beta=0.3"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_defaults_are_the_dataclass_defaults(self, mode):
+        config = cli._config_from_args(cli.build_parser().parse_args(["--mode", mode]))
+        assert config == SweepConfig(mode, params=PhysicalParams(beta=config.params.beta))
+        # and pinned as values, so that no flag default moves unnoticed
+        d = config.to_dict()
+        names = ("hbar", "mass", "omega", "omega_ref", "beta", "betas", "samples_per_period", "fock_dim")
+        assert [d[k] for k in names] == [1.0, 1.0, 0.1, 1.0, "inf", ["inf", 1.0, 0.0], 256, 60]
 
     def test_verify_exit_zero(self, capsys):
         code = main(["--mode", "verify", "--fock-dim", "60"])
