@@ -40,10 +40,10 @@ print(f"  max deviation: {np.max(np.abs(g_plus - closed_plus)):.2e}")
 # both take arrays: one call covers a whole period at three temperatures
 ts = np.linspace(0.0, p.period, 9)[:, None]
 grid = p.with_(beta=np.array([1.0, 2.0, 4.0]) / (p.hbar * p.omega))
-oracle = oracle_covariance_1pm(ts, grid, dim=60)
-closed = covariance_g(ts, grid)[:2]
-print(f"\n9 t x 3 beta grid, blocks of shape {oracle[0].shape}:")
-print(f"  max deviation: {max(np.max(np.abs(g - c)) for g, c in zip(oracle, closed)):.2e}")
+oracle = np.stack(oracle_covariance_1pm(ts, grid, dim=60))
+closed = np.stack(covariance_g(ts, grid)[:2])
+print(f"\n9 t x 3 beta grid, both blocks stacked, shape {oracle.shape}:")
+print(f"  max deviation: {np.max(np.abs(oracle - closed)):.2e}")
 
 # the full report also covers Laguerre orthogonality, wavefunction
 # Gram matrices, ladder coefficients, commutators, and the rate

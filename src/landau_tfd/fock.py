@@ -45,24 +45,28 @@ class OracleReport:
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def add(self, name: str, max_deviation: float, tolerance: float) -> None:
-        self.checks.append(
-            CheckResult(name, float(max_deviation), tolerance, bool(max_deviation <= tolerance))
-        )
+    def add(self, name: str, deviation, tolerance: float) -> None:
+        """Record a check from its deviation at every point: an array of any shape, or a list of scalars.
+
+        The check keeps the largest |deviation| and passes if that is at
+        most tolerance; np.max propagates NaN, so a NaN at any point fails it.
+        """
+        if np.size(deviation) == 0:
+            raise ValueError(f"check {name!r} has no deviation to reduce")
+        max_deviation = float(np.max(np.abs(deviation)))
+        self.checks.append(CheckResult(name, max_deviation, tolerance, bool(max_deviation <= tolerance)))
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "passed": self.passed,
             "checks": [asdict(c) for c in self.checks],
             "warnings": list(self.warnings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(doc, indent=2)
 
 
 def _check_dim(dim: int) -> None:
@@ -167,12 +171,12 @@ def commutator_report(dim: int) -> OracleReport:
     two tensor factors; and L_z = -hbar(a^dag a - b^dag b) applied to
     each |n, k> gives hbar(k - n) |n, k>, with k - n read from the labels.
     """
-    if dim < 4:
-        raise ValueError(f"dim must be at least 4, got {dim}")
+    if not (isinstance(dim, (int, np.integer)) and dim >= 4):
+        raise ValueError(f"dim must be an integer of at least 4, got {dim!r}")
     report = OracleReport()
     a = ladder_matrix(dim)
     comm = a @ a.T - a.T @ a
-    report.add("[a,a_dagger] interior", np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))), 1e-12)
+    report.add("[a,a_dagger] interior", comm[: dim - 1, : dim - 1] - np.eye(dim - 1), 1e-12)
 
     dt = min(dim, 16)
     a_f, b_f = _two_mode(dt)
@@ -180,15 +184,10 @@ def commutator_report(dim: int) -> OracleReport:
     e = np.eye(dt * dt).reshape(-1, dt, dt)
     n, k = np.divmod(np.arange(dt * dt), dt)
     a_e, b_e = a_f @ e, e @ b_f.T
-    # each check reduces to its scalar before the next builds its stacks, so one check's arrays are alive at a time
     # [b, b^dag] on the interior states k < N' - 1, read off their components with k < N' - 1
-    dev_b = np.max(np.abs(((e @ b_f) @ b_f.T - b_e @ b_f - e)[k < dt - 1, :, :-1]))
-    dev_ab = np.max(np.abs(a_f @ b_e - a_e @ b_f.T))
+    report.add("[b,b_dagger] interior", ((e @ b_f) @ b_f.T - b_e @ b_f - e)[k < dt - 1, :, :-1], 1e-12)
+    report.add("[a,a_dagger] truncation edge = -(N-1)", comm[dim - 1, dim - 1] - (-(dim - 1)), 1e-12)
+    report.add("[a,b] two-mode", a_f @ b_e - a_e @ b_f.T, 1e-12)
     # L_z / hbar = b^dag b - a^dag a
-    dev_lz = np.max(np.abs(b_e @ b_f - a_f.T @ a_e - (k - n)[:, None, None] * e))
-    report.add("[b,b_dagger] interior", dev_b, 1e-12)
-    edge = comm[dim - 1, dim - 1] - (-(dim - 1))
-    report.add("[a,a_dagger] truncation edge = -(N-1)", abs(edge), 1e-12)
-    report.add("[a,b] two-mode", dev_ab, 1e-12)
-    report.add("L_z eigenvalue k - n", dev_lz, 1e-12)
+    report.add("L_z eigenvalue k - n", b_e @ b_f - a_f.T @ a_e - (k - n)[:, None, None] * e, 1e-12)
     return report

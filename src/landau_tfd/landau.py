@@ -170,6 +170,8 @@ def wavefunction_gram(n, ell, params: PhysicalParams) -> np.ndarray:
     stacked call and projected by one weighted matmul.  Orthonormal
     states give the identity, and no states a (0, 0) matrix.
     """
+    if np.ndim(n) != 1 or np.shape(n) != np.shape(ell):
+        raise ValueError(f"n and ell must be 1-D arrays of equal length, got shapes {np.shape(n)} and {np.shape(ell)}")
     n, ell = _states(n, ell)
     n, ell = n[:, None, None], ell[:, None, None]
     rho, w, _ = _radial_rule()
@@ -238,6 +240,8 @@ def ladder_action_check(n: int, ell: int, which: str, params: PhysicalParams) ->
     source or target state that does not vanish by rho = 12 (its norm on
     the rule misses 1 by more than 1e-12) warns.
     """
+    if np.ndim(n) or np.ndim(ell):
+        raise ValueError(f"n and ell must be the scalar labels of one state, got shapes {np.shape(n)} and {np.shape(ell)}")
     _states(n, ell)
     if which not in _LADDER:
         raise ValueError(f"unknown ladder operator {which!r}")

@@ -154,7 +154,10 @@ class SweepTable:
             raise ValueError(f"columns must have equal length, got {[len(v) for v in self.values]}")
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[[c[0] for c in self.columns].index(name)]
+        names = [c[0] for c in self.columns]
+        if name not in names:
+            raise ValueError(f"no column named {name!r}; the columns are {names}")
+        return self.values[names.index(name)]
 
     def _length(self) -> int:
         return len(self.values[0]) if self.values else 0
@@ -292,62 +295,55 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
 
     Each distinct warning the checks raise goes into report.warnings once.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = _verify_checks(config)
-    report.warnings += dict.fromkeys(str(w.message) for w in caught)
-    return report
-
-
-def _verify_checks(config: SweepConfig) -> fock.OracleReport:
     p = config.params
     report = fock.OracleReport()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
 
-    # Laguerre orthogonality on the (ell, n, m) grid against (n+ell)!/n! * delta_nm
-    ell, n, m = np.ogrid[:5, :5, :5]
-    factorial = np.cumprod(np.r_[1.0, 1:9])  # 0!, 1!, ..., 8!
-    want = np.where(n == m, factorial[n + ell] / factorial[n], 0.0)
-    report.add("laguerre orthogonality", np.max(np.abs(landau.laguerre_norm_integral(n, m, ell) - want)), 1e-9)
+        # Laguerre orthogonality on the (ell, n, m) grid against (n+ell)!/n! * delta_nm
+        ell, n, m = np.ogrid[:5, :5, :5]
+        factorial = np.cumprod(np.r_[1.0, 1:9])  # 0!, 1!, ..., 8!
+        want = np.where(n == m, factorial[n + ell] / factorial[n], 0.0)
+        report.add("laguerre orthogonality", landau.laguerre_norm_integral(n, m, ell) - want, 1e-9)
 
-    # wavefunction Gram matrix for n + |ell| <= 4
-    states = np.array([
-        (n, ell)
-        for n in range(5)
-        for ell in range(-n, 5 - n)
-        if n + abs(ell) <= 4
-    ])
-    gram = landau.wavefunction_gram(states[:, 0], states[:, 1], p)
-    report.add("wavefunction orthonormality", np.max(np.abs(gram - np.eye(len(states)))), 1e-12)
+        # wavefunction Gram matrix for n + |ell| <= 4
+        states = np.array([
+            (n, ell)
+            for n in range(5)
+            for ell in range(-n, 5 - n)
+            if n + abs(ell) <= 4
+        ])
+        gram = landau.wavefunction_gram(states[:, 0], states[:, 1], p)
+        report.add("wavefunction orthonormality", gram - np.eye(len(states)), 1e-12)
 
-    # ladder-operator coefficients by the grid oracle (Gauss-Legendre differentiation matrix in rho, FFT in phi)
-    cases = [
-        (1, 0, "a_dagger", math.sqrt(2.0)),
-        (0, 2, "b_dagger", math.sqrt(3.0)),
-        (2, 0, "a", math.sqrt(2.0)),
-        (1, 1, "b", math.sqrt(2.0)),
-    ]
-    dev = max(abs(landau.ladder_action_check(n, ell, which, p) - want) for n, ell, which, want in cases)
-    report.add("ladder-operator coefficients", dev, 1e-11)
+        # ladder-operator coefficients by the grid oracle (Gauss-Legendre differentiation matrix in rho, FFT in phi)
+        cases = [
+            (1, 0, "a_dagger", math.sqrt(2.0)),
+            (0, 2, "b_dagger", math.sqrt(3.0)),
+            (2, 0, "a", math.sqrt(2.0)),
+            (1, 1, "b", math.sqrt(2.0)),
+        ]
+        dev = [landau.ladder_action_check(n, ell, which, p) - want for n, ell, which, want in cases]
+        report.add("ladder-operator coefficients", dev, 1e-11)
 
-    # commutators on the truncated space
-    report.checks += fock.commutator_report(config.fock_dim).checks
+        # commutators on the truncated space
+        report.checks += fock.commutator_report(config.fock_dim).checks
 
-    # covariance blocks: brute force vs closed form at 9 t x 3 beta, compared in the dimensionless form
-    # S G S = G * scale with S = diag(sqrt(m omega), 1/sqrt(m omega)); G already carries its 1/hbar
-    mw = p.mass * p.omega
-    scale = np.array([[mw, 1.0], [1.0, 1.0 / mw]])
-    pb = p.with_(beta=np.array([1.0, 2.0, 4.0]) / (p.hbar * p.omega))
-    ts = np.linspace(0.0, p.period, 9)[:, None]
-    g_p, g_m = fock.oracle_covariance_1pm(ts, pb, config.fock_dim)
-    closed_p, closed_m, _ = covariance_g(ts, pb)
-    dev = max(np.max(np.abs(g_p - closed_p) * scale), np.max(np.abs(g_m - closed_m) * scale))
-    report.add("covariance oracle vs closed form", dev, 1e-8)
+        # covariance blocks: brute force vs closed form at 9 t x 3 beta, compared in the dimensionless form
+        # S G S = G * scale with S = diag(sqrt(m omega), 1/sqrt(m omega)); G already carries its 1/hbar
+        mw = p.mass * p.omega
+        scale = np.array([[mw, 1.0], [1.0, 1.0 / mw]])
+        pb = p.with_(beta=np.array([1.0, 2.0, 4.0]) / (p.hbar * p.omega))
+        ts = np.linspace(0.0, p.period, 9)[:, None]
+        oracle = np.stack(fock.oracle_covariance_1pm(ts, pb, config.fock_dim))
+        closed = np.stack(covariance_g(ts, pb)[:2])
+        report.add("covariance oracle vs closed form", (oracle - closed) * scale, 1e-8)
 
-    # analytic rate vs finite differences on a (beta hbar omega, omega, t) grid of 3 x 3 x 6
-    bho, omega = np.array([0.5, 2.0, 8.0])[:, None, None], np.array([0.1, 0.5, 2.0])[:, None]
-    pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
-    ts = np.linspace(0.05, 0.95, 6) * pb.period
-    fd = finite_difference_rate(ts, pb)
-    dev = np.max(np.abs(complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3))
-    report.add("rate vs finite differences (relative)", dev, 1e-6)
+        # analytic rate vs finite differences on a (beta hbar omega, omega, t) grid of 3 x 3 x 6
+        bho, omega = np.array([0.5, 2.0, 8.0])[:, None, None], np.array([0.1, 0.5, 2.0])[:, None]
+        pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
+        ts = np.linspace(0.05, 0.95, 6) * pb.period
+        fd = finite_difference_rate(ts, pb)
+        report.add("rate vs finite differences (relative)", (complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3), 1e-6)
+    report.warnings += dict.fromkeys(str(w.message) for w in caught)
     return report

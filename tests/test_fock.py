@@ -10,6 +10,7 @@ import pytest
 
 from landau_tfd import fock
 from landau_tfd import (
+    OracleReport,
     PhysicalParams,
     commutator_report,
     covariance_g,
@@ -246,6 +247,11 @@ class TestCommutatorReport:
         with pytest.raises(ValueError):
             commutator_report(3)
 
+    @pytest.mark.parametrize("dim", ["x", 8.0, None])
+    def test_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer of at least 4"):
+            commutator_report(dim)
+
     @pytest.mark.parametrize("dim", [4, 5, 16, 17, 60, 128])
     def test_matches_dense_kronecker_reference(self, dim):
         report = commutator_report(dim)
@@ -268,3 +274,45 @@ class TestCommutatorReport:
         monkeypatch.setattr(fock, "_two_mode", lambda dim: perturb(*two_mode(dim)))
         report = commutator_report(16)
         assert [c.name for c in report.checks if not c.passed] == [check]
+
+
+class TestOracleReport:
+    @pytest.mark.parametrize(
+        "deviation, worst",
+        [
+            (-3e-13, 3e-13),
+            ([1e-13, -4e-13, 2e-13], 4e-13),
+            (np.array([[1e-13, 2e-13], [-5e-13, 0.0]]), 5e-13),
+            (np.array([3e-13j, 1e-13]), 3e-13),
+        ],
+        ids=["scalar", "list", "array", "complex"],
+    )
+    def test_records_the_largest_absolute_deviation(self, deviation, worst):
+        report = OracleReport()
+        for name, tolerance in (("loose", 1e-12), ("equal", worst), ("tight", 1e-13)):
+            report.add(name, deviation, tolerance)
+        assert [(c.name, c.max_deviation, c.passed) for c in report.checks] == [
+            ("loose", worst, True),
+            ("equal", worst, True),
+            ("tight", worst, False),
+        ]
+        assert type(report.checks[0].max_deviation) is float
+
+    @pytest.mark.parametrize(
+        "deviation",
+        [[0.0, 0.0, math.nan], np.array([[0.0, 0.0], [0.0, np.nan]]), [math.nan, 0.0], np.nan],
+        ids=["list-last", "array-last", "list-first", "scalar"],
+    )
+    def test_nan_at_any_point_fails(self, deviation):
+        report = OracleReport()
+        report.add("nan", deviation, 1e-12)
+        assert not report.passed
+        assert math.isnan(report.checks[0].max_deviation)
+        assert json.loads(report.to_json())["checks"][0]["passed"] is False
+
+    @pytest.mark.parametrize("deviation", [[], np.empty((3, 0))], ids=["list", "array"])
+    def test_empty_deviation_raises(self, deviation):
+        report = OracleReport()
+        with pytest.raises(ValueError, match="check 'no points' has no deviation"):
+            report.add("no points", deviation, 1e-12)
+        assert report.checks == []

@@ -322,6 +322,22 @@ def test_non_integer_label_is_rejected(case):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: wavefunction_gram(0, 0, PARAMS), r"1-D arrays of equal length, got shapes \(\) and \(\)"),
+        (lambda: wavefunction_gram(np.array([0, 1]), np.array([0]), PARAMS), r"got shapes \(2,\) and \(1,\)"),
+        (lambda: wavefunction_gram(np.zeros((2, 2), int), np.zeros((2, 2), int), PARAMS), r"got shapes \(2, 2\)"),
+        (lambda: ladder_action_check(np.array([1, 2]), 0, "a", PARAMS), r"scalar labels of one state, got shapes \(2,\)"),
+        (lambda: ladder_action_check(1, [0], "a_dagger", PARAMS), r"scalar labels of one state"),
+    ],
+    ids=["gram-scalars", "gram-unequal", "gram-2d", "ladder-array-n", "ladder-list-ell"],
+)
+def test_label_shape_is_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_integral_float_labels_are_accepted():
     assert laguerre(2.0, 1.0, 0.3) == laguerre(2, 1, 0.3)
 

@@ -38,7 +38,7 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
-from landau_tfd import _g17, cli, landau, sweep
+from landau_tfd import _g17, cli, fock, landau, sweep
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -460,6 +460,11 @@ class TestTableShape:
         with pytest.raises(ValueError, match="pairs for 2 columns"):
             SweepTable(columns=[("a", "1"), ("b", "1"), ("c", "1")][:pairs], values=[np.arange(3.0), np.arange(3.0)])
 
+    def test_missing_column_is_named(self):
+        table = SweepTable(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(3.0)])
+        with pytest.raises(ValueError, match=r"no column named 'zz'; the columns are \['a', 'b'\]"):
+            table.column("zz")
+
     def test_zero_rows(self):
         table = SweepTable(columns=[("a", "1"), ("b", "bool")], values=[np.empty(0), np.empty(0, dtype=bool)])
         assert written(table.to_csv) == "a (1),b (bool)\n" == reference_csv(table)
@@ -772,6 +777,44 @@ class TestVerify:
         report = run_verify(small_config("verify", params=PhysicalParams(mass=1e-9, omega=0.5, beta=2.0), fock_dim=60))
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["covariance oracle vs closed form"]
+
+    def failing_checks(self, capsys) -> list:
+        """The names of the failing checks of a default verify run, which must exit 2."""
+        assert main(["--mode", "verify"]) == 2
+        return [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+
+    def test_nan_in_the_second_covariance_block_fails(self, monkeypatch, capsys):
+        def with_nan(t, params):
+            g_1p, g_1m, g_2 = covariance_g(t, params)
+            g_1m[-1, -1, 1, 1] = np.nan
+            return g_1p, g_1m, g_2
+
+        monkeypatch.setattr(sweep, "covariance_g", with_nan)
+        assert self.failing_checks(capsys) == ["covariance oracle vs closed form"]
+
+    def test_nan_in_the_last_ladder_case_fails(self, monkeypatch, capsys):
+        exact = landau.ladder_action_check
+
+        def with_nan(n, ell, which, params):
+            # "b" is the last of the check's four cases
+            return math.nan if which == "b" else exact(n, ell, which, params)
+
+        monkeypatch.setattr(landau, "ladder_action_check", with_nan)
+        assert self.failing_checks(capsys) == ["ladder-operator coefficients"]
+
+    def test_nan_in_a_commutator_fails(self, monkeypatch, capsys):
+        two_mode = fock._two_mode
+
+        def with_nan(dim):
+            a, b = two_mode(dim)
+            a = a.copy()
+            a[0, 1] = np.nan
+            return a, b
+
+        monkeypatch.setattr(fock, "_two_mode", with_nan)
+        # a NaN anywhere in A reaches every entry of A^T A (NaN * 0 is NaN), so L_z, b^dag b - a^dag a, fails with
+        # [a,b]; [b,b_dagger] never reads A
+        assert self.failing_checks(capsys) == ["[a,b] two-mode", "L_z eigenvalue k - n"]
 
     def test_ladder_check_catches_relative_error(self, monkeypatch):
         exact = landau.ladder_action_check
