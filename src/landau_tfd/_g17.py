@@ -281,19 +281,22 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
         words[bad] = np.frombuffer(texts, dtype="<u8").reshape(-1, _ROW // 8)
 
 
-def rows(cols: list, json_: bool, layout: tuple) -> bytes:
+def rows(cols: list, json_: bool, layout: tuple, buf: bytearray) -> bytes:
     """The text of a chunk of table rows, row i holding value i of each column, by one array pass.
 
     layout is the bytes before a row's first cell, between a cell's ','
     and the next cell, and after the last cell, and the last cell's
-    separator.  The chunk is laid out as one byte array, a row of it per
-    table row: the layout's bytes, with each cell's slot between them
-    ending in ',' or the last cell's separator, and each part padded with
-    NUL to whole 8-byte words.  A float column's slot is _fill's, Python's
-    text included where the pass falls back, a bool column's its text from
-    a table.  A column whose values in the chunk are bitwise identical (so
-    -0.0 and 0.0 differ) is written once, by Python, into the layout's
-    bytes.  One translate drops the NULs and gives the chunk's text.
+    separator.  The chunk is laid out in buf, resized in place, so a
+    writer can pass the same buf for every chunk: a byte row per table
+    row, the layout's bytes, with each cell's slot between them ending
+    in ',' or the last cell's separator, and each part padded with NUL
+    to whole 8-byte words.  Every word is written, so nothing an earlier
+    chunk left in buf shows.  A float column's slot is _fill's, Python's
+    text included where the pass falls back, a bool column's its text
+    from a table.  A column whose values in the chunk are bitwise
+    identical (so -0.0 and 0.0 differ) is written once, by Python, into
+    the layout's bytes.  One translate drops the NULs and gives the
+    chunk's text.
     """
     lead, between, end, last_sep = layout
     n = len(cols[0])
@@ -317,12 +320,19 @@ def rows(cols: list, json_: bool, layout: tuple) -> bytes:
     if literal:
         parts.append((len(_words(literal)), _words(literal), None, None))
 
-    buf = bytearray(8 * n * sum(p[0] for p in parts))
+    size = 8 * n * sum(p[0] for p in parts)
+    if len(buf) < size:
+        # repeating one byte grows buf in place, where extending it by bytes(size) would first build a second
+        # buffer of that size
+        buf[:] = b"\0"
+        buf *= size
+    # a shorter chunk, such as a table's last, uses the leading part
+    del buf[size:]
     words = np.frombuffer(buf, dtype="<u8").reshape(n, -1)
     at = 0
-    for size, template, v, sep in parts:
-        slot = words[:, at : at + size]
-        at += size
+    for width, template, v, sep in parts:
+        slot = words[:, at : at + width]
+        at += width
         if v is None:
             slot[:] = template
         elif v.dtype == bool:

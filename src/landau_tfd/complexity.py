@@ -20,6 +20,9 @@ import numpy as np
 LN6 = math.log(6.0)
 _TINY = np.finfo(float).tiny
 _MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
+# points evaluated per pass: a table writes this many rows at a time, and lloyd_check scans its grid in
+# blocks of about this many points, so no temporary of either holds more
+_CHUNK = 4096
 # points of lloyd_check's uniform grid over one period, before the golden-section polish
 _LLOYD_SAMPLES = 257
 # width in t below which the golden-section polish stops
@@ -419,7 +422,9 @@ def lloyd_check(params: PhysicalParams) -> tuple:
     """Compare the maximum complexity rate over one period with 2U/(pi hbar).
 
     The maximum is located on a uniform grid of _LLOYD_SAMPLES points
-    and polished by golden-section search around the grid argmax.
+    and polished by golden-section search around the grid argmax.  The
+    grid is scanned a block of rows at a time, about _CHUNK points a
+    block, keeping the first maximum as np.argmax does.
     Returns (max_rate, bound, argmax_t); the bound holds where
     max_rate <= bound.  beta and omega in params may be arrays; each
     array then has their broadcast shape.
@@ -432,13 +437,23 @@ def lloyd_check(params: PhysicalParams) -> tuple:
     # one grid of t per parameter point, along axis 0
     shape = np.broadcast(params.beta, params.omega).shape
     ts = np.linspace(0.0, np.broadcast_to(params.period, shape), _LLOYD_SAMPLES)
-    rates = abs_rate(ts)
-    i = np.argmax(rates, axis=0)[None]
+    step = max(1, _CHUNK // math.prod(shape))
+    for k in range(0, _LLOYD_SAMPLES, step):
+        rates = abs_rate(ts[k : k + step])
+        j = np.argmax(rates, axis=0)
+        block_max = np.take_along_axis(rates, j[None], axis=0)[0]
+        if k == 0:
+            grid_max, i = block_max, j
+        else:
+            # only a strictly greater maximum moves the argmax, so a tie keeps the first row
+            better = block_max > grid_max
+            grid_max, i = np.where(better, block_max, grid_max), np.where(better, j + k, i)
+    i = i[None]
 
     def at(k):
         return np.take_along_axis(ts, np.clip(k, 0, _LLOYD_SAMPLES - 1), axis=0)[0]
 
     t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
-    max_rate, grid_max = abs_rate(t_star), rates.max(axis=0)
+    max_rate = abs_rate(t_star)
     t_star, max_rate = np.where(grid_max > max_rate, at(i), t_star)[()], np.maximum(grid_max, max_rate)
     return max_rate, bound, t_star

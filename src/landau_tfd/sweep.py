@@ -12,12 +12,14 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import fock
 from . import landau
 from .complexity import (
+    _CHUNK,
     PhysicalParams,
     _kernel,
     _rate,
@@ -45,9 +47,6 @@ __all__ = [
 MODES = ("time-series", "beta-sweep", "omega-sweep", "lloyd", "verify")
 # the swept field of each grid mode and the size of its default grid
 _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("beta", 25)}
-# rows computed and written per pass: no table is held whole as text, and no time series temporary holds
-# more than this many points
-_CHUNK = 4096
 # the row layouts of CSV and of json.dumps(indent=2): the bytes before a row's first cell, between a cell's ','
 # and the next cell, and after the last cell, and the last cell's separator.  A JSON row opens with the ','
 # that parts it from the row before; the writer drops the first row's.
@@ -104,7 +103,8 @@ class SweepConfig:
         if self.mode == "time-series":
             self.params.with_(beta=np.array([b for b in self.betas if b > 0.0]))
         if self.mode in _GRIDS:
-            _grid_params(self, *_GRIDS[self.mode])
+            name, count = _GRIDS[self.mode]
+            self.params.with_(**{name: _grid(self, count)})
         if self.mode == "verify":
             # the oracles scale their grids and matrices by these, and rerun at omega in {0.1, 0.5, 2}
             scales = np.array([self.params.hbar, self.params.mass, self.params.omega, self.params.omega_ref])
@@ -143,15 +143,29 @@ class SweepConfig:
 
 @dataclass
 class SweepTable:
+    """A table evaluated _CHUNK rows at a time: chunk(i, j) gives one 1-D array per column, rows i to j - 1."""
+
     columns: list  # (name, unit) pairs, in output order
-    values: list  # one 1-D array per column, in the same order
+    length: int  # the row count
+    chunk: Callable  # (i, j) -> one array per column, in the same order
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.values):
-            raise ValueError(f"{len(self.columns)} (name, unit) pairs for {len(self.values)} columns")
-        if len(set(map(len, self.values))) > 1:
-            raise ValueError(f"columns must have equal length, got {[len(v) for v in self.values]}")
+    @classmethod
+    def of(cls, columns: list, values: list, metadata: dict | None = None) -> "SweepTable":
+        """A table of ready 1-D arrays, one per column."""
+        if len(columns) != len(values):
+            raise ValueError(f"{len(columns)} (name, unit) pairs for {len(values)} columns")
+        if len(set(map(len, values))) > 1:
+            raise ValueError(f"columns must have equal length, got {[len(v) for v in values]}")
+        length = len(values[0]) if values else 0
+        return cls(columns, length, lambda i, j: [v[i:j] for v in values], {} if metadata is None else metadata)
+
+    @property
+    def values(self) -> list:
+        """Every column whole, evaluated chunk by chunk."""
+        n = self.length
+        chunks = [self.chunk(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)] or [self.chunk(0, 0)]
+        return [np.concatenate(c) for c in zip(*chunks)]
 
     def column(self, name: str) -> np.ndarray:
         names = [c[0] for c in self.columns]
@@ -159,20 +173,22 @@ class SweepTable:
             raise ValueError(f"no column named {name!r}; the columns are {names}")
         return self.values[names.index(name)]
 
-    def _length(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
     def _write(self, stream, json_: bool, head: str, tail: str) -> None:
-        """Write head, the rows _CHUNK at a time as one bytes object each, and tail to a binary or text stream."""
+        """Write head, the rows _CHUNK at a time, each evaluated just before it is written, and tail.
+
+        One byte buffer, sized by the first chunk, holds every chunk's
+        layout in turn; stream is binary or text.
+        """
         from . import _g17  # loaded on the first table write, not at import
 
         write = _sink(stream)
         write(head.encode())
-        n = self._length()
+        n, buf = self.length, bytearray()
         for i in range(0, n, _CHUNK):
-            chunk = _g17.rows([v[i : min(i + _CHUNK, n)] for v in self.values], json_, _LAYOUTS[json_])
+            text = _g17.rows(self.chunk(i, min(i + _CHUNK, n)), json_, _LAYOUTS[json_], buf)
             # the first JSON row has no row before it to part from
-            write(memoryview(chunk)[1:] if json_ and i == 0 else chunk)
+            write(memoryview(text)[1:] if json_ and i == 0 else text)
+            del text  # freed before the next chunk is laid out, not after
         write(tail.encode())
 
     def to_csv(self, stream) -> None:
@@ -187,7 +203,7 @@ class SweepTable:
         # columns block above it is indented deeper, so the first two-space match is the rows key
         doc = {"columns": [{"name": n, "unit": u} for n, u in self.columns], "rows": [], "metadata": self.metadata}
         head, _, tail = json.dumps(doc, indent=2).partition('\n  "rows": []')
-        self._write(stream, True, head + '\n  "rows": [', ("\n  ]" if self._length() else "]") + tail)
+        self._write(stream, True, head + '\n  "rows": [', ("\n  ]" if self.length else "]") + tail)
 
 
 def _sink(stream):
@@ -217,49 +233,54 @@ def run_time_series(config: SweepConfig) -> SweepTable:
     beta = inf is evaluated exactly at zero temperature; beta = 0 uses
     the closed-form infinite-temperature limits (the complexity column
     is the divergent limit, emitted as inf and flagged in metadata).
+    The columns are evaluated a chunk of times at a time, as the table
+    is written.
     """
     p = config.params
     if config.range_ is not None:
         ts = config.range_.grid()
     else:
         ts = np.linspace(0.0, 2.0 * p.period, 2 * config.samples_per_period)
-    columns, values = [("t", "time")], [ts]
+    columns = [("t", "time")]
     for beta in config.betas:
         columns.append((f"complexity[beta={_beta_label(beta)}]", "dimensionless"))
         columns.append((f"rate[beta={_beta_label(beta)}]", "1/time"))
-        c, rate = np.full(len(ts), math.inf), np.empty(len(ts))
-        pb = p.with_(beta=beta) if beta > 0.0 else None
-        # _CHUNK times at a time, so the kernel's temporaries stay small; one kernel pass gives C and the rate
-        for i in range(0, len(ts), _CHUNK):
-            t = ts[i : i + _CHUNK]
+    curves = [p.with_(beta=beta) if beta > 0.0 else None for beta in config.betas]
+
+    def chunk(i: int, j: int) -> list:
+        t = ts[i:j]
+        values = [t]
+        for pb in curves:
             if pb is None:
-                rate[i : i + _CHUNK] = high_T_rate_limit(t, p)
+                values += [np.full(len(t), math.inf), high_T_rate_limit(t, p)]
             else:
+                # one kernel pass gives C and the rate
                 kernel = _kernel(t, pb)
-                c[i : i + _CHUNK] = kernel[0]
-                rate[i : i + _CHUNK] = _rate(kernel, t, pb)
-        values += [c, rate]
+                values += [kernel[0], _rate(kernel, t, pb)]
+        return values
+
     meta = _base_metadata(config)
     if any(b == 0.0 for b in config.betas):
         meta["beta0_note"] = "complexity column is the divergent high-temperature limit (inf); rate from the closed-form limit"
-    return SweepTable(columns=columns, values=values, metadata=meta)
+    return SweepTable(columns, len(ts), chunk, meta)
 
 
-def _grid_params(config: SweepConfig, name: str, count: int) -> tuple:
-    """The grid of params.<name> (the range, or count log-spaced points in [1e-2, 1e2]) and params carrying it."""
-    grid = (config.range_ or SweepRange(1e-2, 1e2, count, log=True)).grid()
-    return grid, config.params.with_(**{name: grid})
+def _grid(config: SweepConfig, count: int) -> np.ndarray:
+    """The swept grid of a grid mode: the range, or count log-spaced points in [1e-2, 1e2]."""
+    return (config.range_ or SweepRange(1e-2, 1e2, count, log=True)).grid()
 
 
 def _half_period_sweep(config: SweepConfig, mode: str, unit: str) -> SweepTable:
-    """Half-period complexity and amplitude over the grid of a beta- or omega-sweep."""
+    """Half-period complexity and amplitude over the grid of a beta- or omega-sweep, evaluated as it is written."""
     name, count = _GRIDS[mode]
-    grid, p = _grid_params(config, name, count)
-    return SweepTable(
-        columns=[(name, unit), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")],
-        values=[grid, complexity(math.pi / (2.0 * p.omega), p), oscillation_amplitude(p)],
-        metadata=_base_metadata(config),
-    )
+    grid = _grid(config, count)  # SweepConfig has checked every point of it
+
+    def chunk(i: int, j: int) -> list:
+        p = config.params.with_(**{name: grid[i:j]})
+        return [grid[i:j], complexity(math.pi / (2.0 * p.omega), p), oscillation_amplitude(p)]
+
+    columns = [(name, unit), ("complexity_half_period", "dimensionless"), ("amplitude", "dimensionless")]
+    return SweepTable(columns, len(grid), chunk, _base_metadata(config))
 
 
 def run_beta_sweep(config: SweepConfig) -> SweepTable:
@@ -274,12 +295,12 @@ def run_omega_sweep(config: SweepConfig) -> SweepTable:
 
 def run_lloyd(config: SweepConfig) -> SweepTable:
     """Maximum complexity rate against the energy bound over a beta grid."""
-    grid, p = _grid_params(config, *_GRIDS["lloyd"])
-    max_rate, bound, _ = lloyd_check(p)
-    return SweepTable(
-        columns=[("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
-        values=[grid, max_rate, bound, max_rate <= bound],
-        metadata=_base_metadata(config),
+    grid = _grid(config, _GRIDS["lloyd"][1])
+    max_rate, bound, _ = lloyd_check(config.params.with_(beta=grid))
+    return SweepTable.of(
+        [("beta", "1/energy"), ("max_rate", "1/time"), ("bound", "1/time"), ("satisfied", "bool")],
+        [grid, max_rate, bound, max_rate <= bound],
+        _base_metadata(config),
     )
 
 

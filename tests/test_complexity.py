@@ -1,6 +1,7 @@
 """Closed-form engine: TFD parameters, spectrum, complexity, rate, asymptotics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from landau_tfd import (
     oscillation_amplitude,
     relative_spectrum,
 )
+from landau_tfd.complexity import _LLOYD_SAMPLES, _golden_max
 
 BHW2LN2 = 2.0 * math.log(2.0)
 
@@ -452,7 +454,63 @@ class TestAsymptotics:
             assert asymptotic_amplitude("low_T", p) == pytest.approx(exact, rel=1.1e-2)
 
 
+def full_grid_lloyd_check(params: PhysicalParams) -> tuple:
+    """lloyd_check with its whole grid of rates from one call, the reference for the blockwise scan."""
+    bound = 2.0 * internal_energy(params) / (math.pi * params.hbar)
+
+    def abs_rate(t):
+        return np.abs(complexity_rate(t, params))
+
+    shape = np.broadcast(params.beta, params.omega).shape
+    ts = np.linspace(0.0, np.broadcast_to(params.period, shape), _LLOYD_SAMPLES)
+    rates = abs_rate(ts)
+    i = np.argmax(rates, axis=0)[None]
+
+    def at(k):
+        return np.take_along_axis(ts, np.clip(k, 0, _LLOYD_SAMPLES - 1), axis=0)[0]
+
+    t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
+    max_rate, grid_max = abs_rate(t_star), rates.max(axis=0)
+    t_star, max_rate = np.where(grid_max > max_rate, at(i), t_star)[()], np.maximum(grid_max, max_rate)
+    return max_rate, bound, t_star
+
+
+def betas(count: int) -> np.ndarray:
+    """count betas: count - 1 log-spaced over [1e-2, 1e2] and inf."""
+    return np.r_[np.logspace(-2.0, 2.0, count - 1), math.inf]
+
+
+# every rate is 0 at beta = inf and at omega = omega_ref, so there the argmax is a tie over the whole grid
+LLOYD_CASES = {
+    "scalar": PhysicalParams(omega=0.5, beta=2.0),
+    "scalar-inf": PhysicalParams(omega=0.5, beta=math.inf),
+    "1-beta": PhysicalParams(omega=0.5, beta=np.array([2.0])),
+    "7-betas": PhysicalParams(omega=0.3, beta=betas(7)),
+    "128-betas": PhysicalParams(omega=2.0, omega_ref=1e-3, beta=betas(128)),
+    "1000-betas": PhysicalParams(omega=0.1, beta=betas(1000)),
+    "array-omega": PhysicalParams(omega=np.logspace(-2.0, 2.0, 9), beta=betas(7)[:, None]),
+    "omega-ref": PhysicalParams(omega=1.0, omega_ref=1.0, beta=betas(128)),
+    "violation": PhysicalParams(omega=1.0, omega_ref=1e12, beta=np.linspace(0.2, 0.35, 4)),
+}
+
+
 class TestLloyd:
+    @pytest.mark.parametrize("params", LLOYD_CASES.values(), ids=LLOYD_CASES.keys())
+    def test_blockwise_scan_equals_full_grid(self, params):
+        got, want = lloyd_check(params), full_grid_lloyd_check(params)
+        for g, w in zip(got, want, strict=True):
+            assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_scan_holds_one_block_of_rates(self):
+        # beyond its grid of times, the scan holds one block of about _CHUNK points and their temporaries
+        params = LLOYD_CASES["1000-betas"]
+        lloyd_check(params)
+        tracemalloc.start()
+        lloyd_check(params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3 * _LLOYD_SAMPLES * 1000 * np.dtype(float).itemsize
+
     def test_zero_temperature(self):
         p = params_with(math.inf, omega=0.5)
         max_rate, bound, _ = lloyd_check(p)

@@ -29,6 +29,7 @@ from landau_tfd import (
     complexity_rate,
     covariance_g,
     high_T_rate_limit,
+    lloyd_check,
     oracle_covariance_1pm,
     oscillation_amplitude,
     relative_spectrum,
@@ -371,7 +372,7 @@ def feature_table(n: int) -> SweepTable:
     x[1::7], x[2::11], x[3::13] = math.inf, -math.inf, math.nan
     zeros = np.zeros(n)
     zeros[n // 2 :] = -0.0  # 0.0, then -0.0
-    return SweepTable(
+    return SweepTable.of(
         columns=[("x", "time"), ("positive", "bool"), ("zero", "1"), ("neg_zero", "1"), ("inf", "1"), ("half", "1")],
         values=[x, x > 0, zeros, np.full(n, -0.0), np.full(n, math.inf), np.full(n, 0.5)],
         metadata={"config": json.dumps({"mode": "x"}), "scale": 0.1, "count": n},
@@ -391,7 +392,7 @@ class TestChunkedSerialization:
         # chunks of 0.0, of both zeros and of -0.0, which all compare equal to 0.0
         zero = np.zeros(3 * _CHUNK)
         zero[3 * _CHUNK // 2 :] = -0.0
-        table = SweepTable(columns=[("zero", "1")], values=[zero])
+        table = SweepTable.of(columns=[("zero", "1")], values=[zero])
         sign = np.copysign(1.0, zero).tolist()
         assert written(table.to_csv).splitlines()[1:] == ["-0" if s < 0 else "0" for s in sign]
         assert [math.copysign(1.0, r[0]) for r in json.loads(written(table.to_json))["rows"]] == sign
@@ -433,7 +434,7 @@ def unproven_table(n: int, where: int, every_row: bool) -> SweepTable:
     values = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) for _ in range(3)]
     picked = slice(None) if every_row else slice(where, None, 7)
     values[where][picked] = np.resize(UNPROVEN, len(values[where][picked]))
-    return SweepTable(columns=[("a", "1"), ("b", "1"), ("c", "1")], values=values)
+    return SweepTable.of(columns=[("a", "1"), ("b", "1"), ("c", "1")], values=values)
 
 
 def test_unproven_values_prove_in_neither_style():
@@ -453,20 +454,20 @@ def test_unproven_cells_in_every_column_position(n, where, every_row):
 class TestTableShape:
     def test_ragged_columns_raise(self):
         with pytest.raises(ValueError, match="equal length"):
-            SweepTable(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(5.0)])
+            SweepTable.of(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(5.0)])
 
     @pytest.mark.parametrize("pairs", [1, 3])
     def test_column_count_mismatch_raises(self, pairs):
         with pytest.raises(ValueError, match="pairs for 2 columns"):
-            SweepTable(columns=[("a", "1"), ("b", "1"), ("c", "1")][:pairs], values=[np.arange(3.0), np.arange(3.0)])
+            SweepTable.of(columns=[("a", "1"), ("b", "1"), ("c", "1")][:pairs], values=[np.arange(3.0), np.arange(3.0)])
 
     def test_missing_column_is_named(self):
-        table = SweepTable(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(3.0)])
+        table = SweepTable.of(columns=[("a", "1"), ("b", "1")], values=[np.arange(3.0), np.arange(3.0)])
         with pytest.raises(ValueError, match=r"no column named 'zz'; the columns are \['a', 'b'\]"):
             table.column("zz")
 
     def test_zero_rows(self):
-        table = SweepTable(columns=[("a", "1"), ("b", "bool")], values=[np.empty(0), np.empty(0, dtype=bool)])
+        table = SweepTable.of(columns=[("a", "1"), ("b", "bool")], values=[np.empty(0), np.empty(0, dtype=bool)])
         assert written(table.to_csv) == "a (1),b (bool)\n" == reference_csv(table)
         assert written(table.to_json) == reference_json(table)
 
@@ -510,8 +511,8 @@ class Discard(io.RawIOBase):
 
 def chunk_bound(table: SweepTable, reference) -> int:
     """The size of the reference text of the largest _CHUNK rows, with the header and the tail around them."""
-    n = min(map(len, table.values))
-    parts = [SweepTable(table.columns, [v[i : i + _CHUNK] for v in table.values], table.metadata) for i in range(0, n, _CHUNK)]
+    n = table.length
+    parts = [SweepTable.of(table.columns, [v[i : i + _CHUNK] for v in table.values], table.metadata) for i in range(0, n, _CHUNK)]
     return max(len(reference(t)) for t in parts or [table])
 
 
@@ -533,7 +534,7 @@ class TestStreaming:
         reference = {"to_csv": reference_csv, "to_json": reference_json}[writer]
         assert first_difference(text, reference(table)) is None
         assert max(sizes) <= chunk_bound(table, reference)
-        if min(map(len, table.values)) > _CHUNK:
+        if table.length > _CHUNK:
             assert chunk_bound(table, reference) < len(text)
 
     @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
@@ -564,12 +565,38 @@ class TestStreaming:
         peaks = []
         for n in (4 * _CHUNK, 16 * _CHUNK):
             x = np.random.default_rng(n).normal(size=(5, n)) * 10.0 ** np.arange(-2, 3)[:, None]
-            table, sink = SweepTable(columns=[(f"x{i}", "1") for i in range(5)], values=list(x)), Discard()
+            table, sink = SweepTable.of(columns=[(f"x{i}", "1") for i in range(5)], values=list(x)), Discard()
             tracemalloc.start()
             table.to_csv(sink)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sink.size / 2
+
+    def test_time_series_peak_memory_does_not_grow_with_rows(self):
+        # the time series evaluates each chunk of rows as it writes it: of its columns only the times are held
+        feature_table(2).to_csv(Discard())  # _g17's tables are built on the first write
+        peaks = []
+        for n in (4 * _CHUNK, 16 * _CHUNK):
+            p = PhysicalParams(omega=0.5, beta=2.0)
+            cfg = small_config("time-series", params=p, betas=(math.inf, 0.3, 2.0, 0.0), range_=SweepRange(0.0, 2.0 * p.period, n))
+            tracemalloc.start()
+            run_time_series(cfg).to_csv(Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    def test_reused_chunk_buffer_leaves_no_stale_bytes(self, writer):
+        # the chunks alternate between long exponent-form cells and short fixed-form ones, and column y is
+        # constant, so written into the row layout, in every other chunk: each chunk's rows are wider or
+        # narrower than the last's, and the last chunk is partial
+        n = 5 * _CHUNK + 3
+        odd = np.arange(n) // _CHUNK % 2 == 1
+        long = np.random.default_rng(5).normal(size=n) * 1e-200
+        x = np.where(odd, np.arange(n) % 7 * 0.25, long)
+        table = SweepTable.of([("x", "1"), ("y", "1"), ("positive", "bool")], [x, np.where(odd, 1.5, long[::-1]), x > 0])
+        reference = {"to_csv": reference_csv, "to_json": reference_json}[writer]
+        assert first_difference(written(getattr(table, writer)), reference(table)) is None
 
 
 def test_log_grid_decades_are_proven_in_the_pass():
@@ -594,7 +621,7 @@ def python_cells(x: np.ndarray, json_: bool = False) -> list:
 
 def cells(x: np.ndarray, json_: bool = False) -> list:
     """The cells _g17.rows writes for each x, one str each, read through the CSV row layout."""
-    return _g17.rows([np.asarray(x, dtype=float)], json_, sweep._LAYOUTS[0]).decode().split("\n")[:-1]
+    return _g17.rows([np.asarray(x, dtype=float)], json_, sweep._LAYOUTS[0], bytearray()).decode().split("\n")[:-1]
 
 
 def mismatches(x: np.ndarray, json_: bool = False) -> list:
@@ -884,6 +911,34 @@ class TestVerify:
         assert any("truncation norm deficit" in w for w in found)
         assert len(found) == len(set(found))
         assert captured.err == ""
+
+
+class TestEvaluatedOnce:
+    """Each table is evaluated once, as it is written: the command line reads back only ready arrays."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--mode", "lloyd", "--omega", "0.5", "--range", "0.1:10:5:log"], 0),
+            (["--mode", "lloyd", "--omega", "1", "--omega-ref", "1e12", "--range", "0.2:0.35:4"], 3),
+        ],
+        ids=["satisfied", "violated"],
+    )
+    def test_lloyd_check_runs_once(self, argv, code, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sweep, "lloyd_check", lambda params: calls.append(params) or lloyd_check(params))
+        assert main(argv) == code
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_time_series_kernel_runs_once_per_chunk(self, fmt, monkeypatch, tmp_path):
+        # three chunks, and two curves with beta > 0; beta = 0 takes the closed-form limit
+        calls = []
+        kernel = sweep._kernel
+        monkeypatch.setattr(sweep, "_kernel", lambda t, params: calls.append(len(t)) or kernel(t, params))
+        argv = ["--mode", "time-series", "--beta", "inf", "--beta", "1", "--beta", "0", "--range", f"0:10:{2 * _CHUNK + 1}"]
+        assert main([*argv, "--format", fmt, "--out", str(tmp_path / "table")]) == 0
+        assert sorted(calls) == [1, 1, _CHUNK, _CHUNK, _CHUNK, _CHUNK]
 
 
 class TestCli:
