@@ -20,12 +20,9 @@ import numpy as np
 LN6 = math.log(6.0)
 _TINY = np.finfo(float).tiny
 _MIN_OMEGA = 2.0 * math.pi / np.finfo(float).max
-# points evaluated per pass: a table writes this many rows at a time, and lloyd_check scans its grid in
-# blocks of about this many points, so no temporary of either holds more
-_CHUNK = 4096
-# points of lloyd_check's uniform grid over one period, before the golden-section polish
-_LLOYD_SAMPLES = 257
-# width in t below which the golden-section polish stops
+# lloyd_check searches s = ln(omega t) from the smallest positive double to pi/2, half a period
+_LN_MIN_WT, _LN_HALF_PI = math.log(math.ulp(0.0)), math.log(0.5 * math.pi)
+# width in s, the relative width in t, below which the golden-section search stops
 _GOLDEN_TOL = 1e-10
 
 __all__ = [
@@ -393,67 +390,52 @@ def asymptotic_amplitude(regime: str, params: PhysicalParams):
         return np.where(u == 0.0, 0.0, np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho)))[()]
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximizer of f elementwise over [lo, hi], returning the argmax to within _GOLDEN_TOL.
+def _golden_max(f, lo: float, hi: float) -> tuple:
+    """Golden-section maximizer of f elementwise over [lo, hi]: the best point it evaluated and f there.
 
-    f is evaluated once per step on every element; an element whose
-    bracket is already below _GOLDEN_TOL, or below four ulps of its upper end, keeps it.
+    f maps a scalar or an array of points to one value per element, and
+    every step evaluates it once on every element, until each bracket is
+    below _GOLDEN_TOL wide.  The better of the two interior points always
+    stays interior, so the best point evaluated is the better of the last
+    two; for an f with one maximum on [lo, hi] it lies in the final bracket.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    # a bracket a few ulps wide cannot shrink further, which happens first for a long period
-    while np.any(active := b - a > np.maximum(_GOLDEN_TOL, 4.0 * np.spacing(b))):
-        # the maximum lies in [a, d] where left and in [c, b] where right
-        left, right = active & (fc > fd), active & ~(fc > fd)
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, fc, d, fd = np.where(right, d, c), np.where(right, fd, fc), np.where(left, c, d), np.where(left, fc, fd)
-        # the one new point: c where left, d where right
+    while np.max(b - a) > _GOLDEN_TOL:
+        # the maximum lies in [a, d] where left and in [c, b] where not; the better point stays interior
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
+        # the one new point: c where left, d where not
         x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fx = f(x)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-    return 0.5 * (a + b)
+        c, fc, d, fd = np.where(left, x, keep), np.where(left, fx, f_keep), np.where(left, keep, x), np.where(left, f_keep, fx)
+    best = fc > fd
+    return np.where(best, c, d), np.where(best, fc, fd)
 
 
 def lloyd_check(params: PhysicalParams) -> tuple:
     """Compare the maximum complexity rate over one period with 2U/(pi hbar).
 
-    The maximum is located on a uniform grid of _LLOYD_SAMPLES points
-    and polished by golden-section search around the grid argmax.  The
-    grid is scanned a block of rows at a time, about _CHUNK points a
-    block, keeping the first maximum as np.argmax does.
-    Returns (max_rate, bound, argmax_t); the bound holds where
-    max_rate <= bound.  beta and omega in params may be arrays; each
-    array then has their broadcast shape.
+    C(T - t) = C(t), since the two pairs of ``_kernel`` swap, so |dC/dt|
+    over a period is its mirror image about T/2, where it vanishes.  On
+    (0, T/2) it has one maximum, which lies near omega t = e^{-|u|} at
+    high temperature, so one golden-section search over s = ln(omega t),
+    from the smallest positive double to ln(pi/2), finds it to 1e-10
+    relative in t whatever its scale, in about 62 steps of one rate per
+    parameter point.  Where the rate is mostly rounding noise (|u| below
+    about 3e-5 with beta hbar omega above about 300, rates below about
+    1e-140) it has no meaningful maximum, and neither has the search.
+    Returns (max_rate, bound, argmax_t), with argmax_t in (0, T/2]; the
+    bound holds where max_rate <= bound.  beta and omega in params may be
+    arrays; each array then has their broadcast shape.
     """
     bound = 2.0 * internal_energy(params) / (math.pi * params.hbar)
 
-    def abs_rate(t):
-        return np.abs(complexity_rate(t, params))
+    def abs_rate(s):
+        return np.abs(complexity_rate(np.exp(s) / params.omega, params))
 
-    # one grid of t per parameter point, along axis 0
-    shape = np.broadcast(params.beta, params.omega).shape
-    ts = np.linspace(0.0, np.broadcast_to(params.period, shape), _LLOYD_SAMPLES)
-    step = max(1, _CHUNK // math.prod(shape))
-    for k in range(0, _LLOYD_SAMPLES, step):
-        rates = abs_rate(ts[k : k + step])
-        j = np.argmax(rates, axis=0)
-        block_max = np.take_along_axis(rates, j[None], axis=0)[0]
-        if k == 0:
-            grid_max, i = block_max, j
-        else:
-            # only a strictly greater maximum moves the argmax, so a tie keeps the first row
-            better = block_max > grid_max
-            grid_max, i = np.where(better, block_max, grid_max), np.where(better, j + k, i)
-    i = i[None]
-
-    def at(k):
-        return np.take_along_axis(ts, np.clip(k, 0, _LLOYD_SAMPLES - 1), axis=0)[0]
-
-    t_star = _golden_max(abs_rate, at(i - 1), at(i + 1))
-    max_rate = abs_rate(t_star)
-    t_star, max_rate = np.where(grid_max > max_rate, at(i), t_star)[()], np.maximum(grid_max, max_rate)
-    return max_rate, bound, t_star
+    s_star, max_rate = _golden_max(abs_rate, _LN_MIN_WT, _LN_HALF_PI)
+    return max_rate[()], bound, (np.exp(s_star) / params.omega)[()]

@@ -19,7 +19,6 @@ import numpy as np
 from . import fock
 from . import landau
 from .complexity import (
-    _CHUNK,
     PhysicalParams,
     _kernel,
     _rate,
@@ -44,6 +43,8 @@ __all__ = [
     "finite_difference_rate",
 ]
 
+# rows evaluated and written per pass, so no temporary of a table write holds more
+_CHUNK = 4096
 MODES = ("time-series", "beta-sweep", "omega-sweep", "lloyd", "verify")
 # the swept field of each grid mode and the size of its default grid
 _GRIDS = {"beta-sweep": ("beta", 64), "omega-sweep": ("omega", 64), "lloyd": ("beta", 25)}
@@ -230,10 +231,11 @@ def _base_metadata(config: SweepConfig) -> dict:
 def run_time_series(config: SweepConfig) -> SweepTable:
     """Complexity and rate over (at least) two periods for each beta.
 
-    beta = inf is evaluated exactly at zero temperature; beta = 0 uses
-    the closed-form infinite-temperature limits (the complexity column
-    is the divergent limit, emitted as inf and flagged in metadata).
-    The columns are evaluated a chunk of times at a time, as the table
+    beta = inf is evaluated exactly at zero temperature, where both
+    columns are constant and evaluated once; beta = 0 uses the
+    closed-form infinite-temperature limits (the complexity column is
+    the divergent limit, emitted as inf and flagged in metadata).  The
+    other columns are evaluated a chunk of times at a time, as the table
     is written.
     """
     p = config.params
@@ -246,6 +248,8 @@ def run_time_series(config: SweepConfig) -> SweepTable:
         columns.append((f"complexity[beta={_beta_label(beta)}]", "dimensionless"))
         columns.append((f"rate[beta={_beta_label(beta)}]", "1/time"))
     curves = [p.with_(beta=beta) if beta > 0.0 else None for beta in config.betas]
+    # at beta = inf, s = 0: C is the same at every t, sqrt(ln^2 6 + 2 u^2) to rounding, and the rate is 0.0
+    c_inf = complexity(0.0, p.with_(beta=math.inf))
 
     def chunk(i: int, j: int) -> list:
         t = ts[i:j]
@@ -253,6 +257,8 @@ def run_time_series(config: SweepConfig) -> SweepTable:
         for pb in curves:
             if pb is None:
                 values += [np.full(len(t), math.inf), high_T_rate_limit(t, p)]
+            elif math.isinf(pb.beta):
+                values += [np.full(len(t), c_inf), np.zeros(len(t))]
             else:
                 # one kernel pass gives C and the rate
                 kernel = _kernel(t, pb)

@@ -148,8 +148,11 @@ def test_matches_mpmath_over_the_domain(point, t):
 
 
 # the Lloyd search at the edges of its domain: equal frequencies, the threshold |u| = 27.38 where the bound
-# first fails, and |u| = 700, each at the extremes of beta hbar omega and at 0.274, where the violation is worst
-_LLOYD_EDGES = [(bho, u) for bho in (1e-3, 0.274, 10.0) for u in (0.0, 27.38, -27.38, 700.0, -700.0)]
+# first fails, and |u| = 700, each at the extremes of beta hbar omega and at 0.274, where the violation is worst;
+# the narrow high-temperature peak near omega t = e^{-|u|}; and a point where the best point the search
+# evaluated beats the midpoint of its final bracket
+_LLOYD_EDGES = [(bho, u) for bho in (1e-300, 1e-3, 0.274, 10.0) for u in (0.0, 27.38, -27.38, 700.0, -700.0)]
+_LLOYD_EDGES += [(1e-300, 60.0), (6.5e-12, -352.6), (1e-11, 1e-11)]
 
 
 def _with_lloyd_edges(test):
@@ -159,13 +162,15 @@ def _with_lloyd_edges(test):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(bho=st.floats(-3.0, 1.0).map(lambda e: 10.0**e), u=st.floats(-700.0, 700.0))
+@given(bho=st.floats(-300.0, 1.0).map(lambda e: 10.0**e), u=st.floats(-700.0, 700.0))
 @_with_lloyd_edges
 def test_lloyd_search_finds_the_maximum_rate(bho, u):
-    """max_rate is the rate at argmax_t to 1e-12, and no point of a fine grid over one period exceeds it.
+    """max_rate is the rate at argmax_t to 1e-12, and no point of two fine grids over one period exceeds it.
 
     omega = 1 and omega_ref = e^u, with beta hbar omega log-uniform in
-    [1e-3, 10] and u = ln(omega_ref / omega) uniform in [-700, 700].  The
+    [1e-300, 10] and u = ln(omega_ref / omega) uniform in [-700, 700].  One
+    grid is linear; the other is log-spaced in t down to 1e-320 T/2, which
+    resolves the peak near omega t = e^{-|u|} at high temperature.  The
     bound is not checked: it fails for |u| > 27.38.
     """
     omega_ref = math.exp(u)
@@ -173,5 +178,22 @@ def test_lloyd_search_finds_the_maximum_rate(bho, u):
     max_rate, _, argmax_t = lloyd_check(p)
     want = abs(ref.complexity_rate(argmax_t, 1.0, p.beta, omega_ref))
     assert ref.relative_error(max_rate, want) <= 1e-12
-    grid = np.abs(complexity_rate(np.linspace(0.0, p.period, 65537), p))
-    assert grid.max() <= max_rate
+    for ts in (np.linspace(0.0, p.period, 65537), 0.5 * p.period * np.logspace(-320.0, 0.0, 20001)):
+        assert np.abs(complexity_rate(ts, p)).max() <= max_rate
+
+
+@pytest.mark.parametrize("u", [-699.0, -150.0, -27.38, -1.0, 1e-3, 0.5, 30.0, 280.0, 699.0])
+def test_rate_has_one_maximum_on_half_a_period(u):
+    """|dC/dt| rises to one maximum on (0, T/2) and falls, which lloyd_check's golden-section search rests on.
+
+    A log-spaced scan of omega t over [1e-320, 1] pi/2 at omega = 1, for
+    beta hbar omega from 1e-300 to 300, where the rate is resolved above
+    its rounding.
+    """
+    ts = 0.5 * math.pi * np.logspace(-320.0, 0.0, 4001)[:, None]
+    p = params_at(np.logspace(-300.0, math.log10(300.0), 12), 1.0, math.exp(u))
+    steps = np.sign(np.diff(np.abs(complexity_rate(ts, p)), axis=0))
+    for row in steps.T:
+        row = row[row != 0.0]
+        # one run of rises, then one run of falls
+        assert row[0] == 1.0 and row[-1] == -1.0 and np.count_nonzero(np.diff(row)) == 1

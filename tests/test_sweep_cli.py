@@ -932,13 +932,14 @@ class TestEvaluatedOnce:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_time_series_kernel_runs_once_per_chunk(self, fmt, monkeypatch, tmp_path):
-        # three chunks, and two curves with beta > 0; beta = 0 takes the closed-form limit
+        # three chunks, and one curve with a finite beta > 0: beta = 0 takes the closed-form limit, and the
+        # constant columns of beta = inf are evaluated once
         calls = []
         kernel = sweep._kernel
         monkeypatch.setattr(sweep, "_kernel", lambda t, params: calls.append(len(t)) or kernel(t, params))
         argv = ["--mode", "time-series", "--beta", "inf", "--beta", "1", "--beta", "0", "--range", f"0:10:{2 * _CHUNK + 1}"]
         assert main([*argv, "--format", fmt, "--out", str(tmp_path / "table")]) == 0
-        assert sorted(calls) == [1, 1, _CHUNK, _CHUNK, _CHUNK, _CHUNK]
+        assert sorted(calls) == [1, _CHUNK, _CHUNK]
 
 
 class TestCli:
@@ -1004,6 +1005,17 @@ class TestCli:
         # the bool slot of each row, mixed within the chunk
         assert json.dumps([r[3] for r in json.loads(captured.out)["rows"]]) == "[true, false, false, true]"
         assert [ln.split()[0] for ln in captured.err.splitlines()] == ["Lloyd", "beta=0.25", "beta=0.3"]
+
+    def test_lloyd_violation_at_high_temperature(self, capsys):
+        # at omega / omega_ref = 1e153 the maximum rate lies near omega t = e^{-|u|}, and it passes the bound
+        # at every beta (README "The Lloyd bound")
+        argv = ["--mode", "lloyd", "--omega", "1", "--omega-ref", "1e-153", "--range", "1e-12:1e-10:5:log"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        want = ["beta=1e-12", "beta=3.16228e-12", "beta=1e-11", "beta=3.16228e-11", "beta=1e-10"]
+        assert [ln.split()[0] for ln in captured.err.splitlines()] == ["Lloyd", *want]
+        rows = [ln.split(",") for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
+        assert [r[3] for r in rows] == ["0"] * 5
 
     @pytest.mark.parametrize("mode", MODES)
     def test_defaults_are_the_dataclass_defaults(self, mode):
