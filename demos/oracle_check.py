@@ -46,7 +46,8 @@ print(f"\n9 t x 3 beta grid, both blocks stacked, shape {oracle.shape}:")
 print(f"  max deviation: {np.max(np.abs(oracle - closed)):.2e}")
 
 # the full report also covers Laguerre orthogonality, wavefunction
-# Gram matrices, ladder coefficients, commutators, and the rate
+# Gram matrices, ladder coefficients, the ladder matrix's commutator
+# and number operator, and the rate
 report = run_verify(SweepConfig(mode="verify", params=p))
 print("\naggregate verification report:")
 for check in report.checks:

@@ -830,18 +830,20 @@ class TestVerify:
         assert self.failing_checks(capsys) == ["ladder-operator coefficients"]
 
     def test_nan_in_a_commutator_fails(self, monkeypatch, capsys):
-        two_mode = fock._two_mode
+        exact = fock.ladder_matrix
 
         def with_nan(dim):
-            a, b = two_mode(dim)
-            a = a.copy()
+            a = exact(dim)
             a[0, 1] = np.nan
-            return a, b
+            return a
 
-        monkeypatch.setattr(fock, "_two_mode", with_nan)
-        # a NaN anywhere in A reaches every entry of A^T A (NaN * 0 is NaN), so L_z, b^dag b - a^dag a, fails with
-        # [a,b]; [b,b_dagger] never reads A
-        assert self.failing_checks(capsys) == ["[a,b] two-mode", "L_z eigenvalue k - n"]
+        monkeypatch.setattr(fock, "ladder_matrix", with_nan)
+        # the covariance oracle builds its quadratures from the same matrix
+        assert self.failing_checks(capsys) == [
+            "[a,a_dagger] interior",
+            "a_dagger a = diag(n)",
+            "covariance oracle vs closed form",
+        ]
 
     def test_ladder_check_catches_relative_error(self, monkeypatch):
         exact = landau.ladder_action_check
@@ -849,19 +851,6 @@ class TestVerify:
         report = run_verify(small_config("verify", fock_dim=60))
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["ladder-operator coefficients"]
-
-    def test_gram_check_catches_off_diagonal_error(self, monkeypatch):
-        exact = landau.wavefunction_gram
-
-        def perturbed(n, ell, params):
-            gram = exact(n, ell, params)
-            gram[0, 1] += 1e-10
-            return gram
-
-        monkeypatch.setattr(landau, "wavefunction_gram", perturbed)
-        report = run_verify(small_config("verify", fock_dim=60))
-        failing = [c.name for c in report.checks if not c.passed]
-        assert failing == ["wavefunction orthonormality"]
 
     @pytest.mark.parametrize(
         "oracle, check",
