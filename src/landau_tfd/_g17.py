@@ -3,9 +3,9 @@
 The table writer of sweep lays out every chunk of rows here, as one byte
 array in the row layout it passes: its CSV float cells in the first style,
 its JSON ones in the second.  Python's own '%.17g' % x or repr(x) runs only
-for the values the pass cannot prove exact, whose text it writes into the
-cell's own slot, and for a column whose values in the chunk are all the
-same.
+for the values the pass cannot prove exact, a value whose log10 rounds
+across a power of ten among them, whose text it writes into the cell's
+own slot, and for a column whose values in the chunk are all the same.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 # k = floor(log10 |x|) runs over [-280, 279] for |x| in [1e-280, 1e280); the tables reach one further
-# either way, for a log10 that rounds across a power of ten
+# either way, for a log10 that rounds across a power of ten, whose value falls back
 _K_MIN, _K_MAX = -281, 280
-# one cell's slot: '-0.000' (the sign and the 0.000ddd prefix) at 0..5, digit i of d at 6 + 2i with a '.'
+# one cell's slot: the sign or NUL, then '0.000' (the 0.000ddd prefix) at 0..5, digit i of d at 6 + 2i with a '.'
 # after it, then 'e', the exponent's sign and three digits at 40..44, and the cell's separator at 45
 _ROW = 48
 # the forms of a cell: fixed notation at k = -4..16, then the exponent form with two and with three digits
@@ -55,10 +55,11 @@ def _tables() -> tuple:
     for c >= 0, floor(2^s / 10^-22c) 2^-s for c < 0), and 10^b, an exact
     double, for q = 22c + b.  Every group of four digits and every
     exponent as an 8-byte word of the slot layout, the trailing zeros of
-    each group, and per (sign, style, form, digits kept) the mask of the
-    bytes that make a cell and its separator, as words of 0xFF and 0x00
-    bytes: style 0 is '%.17g', style 1 is repr, which writes an integral
-    fixed value with '.0'.
+    each group, and per (form, digits kept) the mask of the bytes that
+    make a cell and its separator, as words of 0xFF and 0x00 bytes; the
+    sign byte, '-' or NUL, is always kept.  q reaches a decade past
+    [1e-280, 1e280) either way, for a log10 that rounds across a power
+    of ten: such a value falls back.
     """
     c, b = np.divmod(np.arange(16 - _K_MAX, 17 - _K_MIN), 22)
     coarse = []
@@ -84,18 +85,18 @@ def _tables() -> tuple:
         | (48 + e // 100) << 16 | (48 + e // 10 % 10) << 24 | (48 + e % 10) << 32
     )
 
-    sign, style, form, kept, at = np.ogrid[:2, :2, :_FORMS, 1:18, :_ROW]
+    form, kept, at = np.ogrid[:_FORMS, 1:18, :_ROW]
     k = form - 4
     fixed = form < _FORMS - 2
     digit, point = (at - 6) // 2, np.where(fixed, k, 0)  # the digit at a byte, and the digit the point follows
     mask = (
-        ((at == 0) & (sign == 1))  # '-'
+        (at == 0)  # '-' or NUL
         | (((at == 1) | (at == 2)) & fixed & (k < 0))  # '0.' before a fraction's
         | ((at >= 3) & (at < 6) & fixed & (at - 3 < -k - 1))  # -k - 1 leading zeros
-        # the digits kept, and in fixed form every digit before the point, and for repr the one after it
-        | ((at >= 6) & (at < 40) & (at % 2 == 0) & (digit <= np.where(fixed, np.maximum(kept - 1, k + style), kept - 1)))
-        # the point, if digits follow or repr writes a fixed value
-        | ((at >= 6) & (at < 40) & (at % 2 == 1) & (digit == point) & ((kept - 1 > point) | ((style == 1) & fixed)))
+        # the digits kept, and in fixed form every digit before the point
+        | ((at >= 6) & (at < 40) & (at % 2 == 0) & (digit <= np.maximum(kept - 1, point)))
+        # the point, if digits follow it
+        | ((at >= 6) & (at < 40) & (at % 2 == 1) & (digit == point) & (kept - 1 > point))
         | (((at == 40) | (at == 41) | (at == 43) | (at == 44)) & ~fixed)  # 'e', its sign and two digits
         | ((at == 42) & (form == _FORMS - 1))  # a third exponent digit
         | (at == 45)
@@ -126,24 +127,17 @@ def _scaled(x: np.ndarray) -> tuple:
 
     As in Ryu printf (Adams, OOPSLA 2019), an exact two_prod of a and
     hi, plus a lo, gives s + r to about 1e-14 absolute.  s is an integer
-    (>= 2^53), so |r| <= ulp(s) / 2 <= 8.  Where log10 rounds across a
-    power of ten (just below 1e-7 it gives -7), s + r falls outside
-    [1e16, 1e17), and k moves by one towards it.  ok is False, and a is 1,
-    where the pass cannot prove s + r: zeros, infinities and NaN, |x|
-    outside [1e-280, 1e280), and a k still wrong after that step.
+    (>= 2^53), so |r| <= ulp(s) / 2 <= 8.  ok is False, and a is 1, where
+    the pass cannot prove s + r: zeros, infinities and NaN, |x| outside
+    [1e-280, 1e280), and where log10 rounds across a power of ten (just
+    below 1e-7 it gives -7), so that s + r falls outside [1e16, 1e17).
     """
     a = np.abs(x)
     ok = (a >= 1e-280) & (a < 1e280)
     a = np.where(ok, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.intp)
     s, r = _product(a, k)
-    low, high = _below(s, r, 1e16), ~_below(s, r, 1e17)
-    off = np.flatnonzero(low | high)
-    if len(off):
-        k[off] += high[off].astype(np.intp) - low[off]
-        s[off], r[off] = _product(a[off], k[off])
-        low[off], high[off] = _below(s[off], r[off], 1e16), ~_below(s[off], r[off], 1e17)
-    return a, k, s, r, ok & ~low & ~high
+    return a, k, s, r, ok & ~_below(s, r, 1e16) & _below(s, r, 1e17)
 
 
 def _below(s, r, bound: float):
@@ -241,18 +235,20 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
 
     digits17 or shortest gives each |x| as a 17-digit integer d; d goes
     to ASCII four digits a word, from a table, and a byte mask per
-    (sign, style, form, digits kept) picks the fixed, 0.000ddd or
-    exponent form, with its trailing zeros stripped, out of one slot
-    layout: every byte the mask drops becomes NUL.  repr writes fixed
-    notation up to k = 15, '%.17g' up to 16.  Where the digits are not
-    proven, the slot holds Python's text, NUL-padded to sep at byte 45.
+    (form, digits kept) picks the fixed, 0.000ddd or exponent form, with
+    its trailing zeros stripped, out of one slot layout: every byte the
+    mask drops becomes NUL.  The slot's first byte is '-' or NUL.  repr
+    writes fixed notation up to k = 15, '%.17g' up to 16, and repr's
+    '.0' after an integral fixed value is one more digit kept, a zero.
+    Where the digits are not proven, the slot holds Python's text,
+    NUL-padded to sep at byte 45.
     """
     quads, trailing, exps, mask = _tables()[4:]
     n = len(x)
     d, k, exact = (shortest if json_ else digits17)(x)
 
-    # the slot's words: the prefix and the leading digit, the four quarters of the low sixteen digits of d, and
-    # the exponent with the separator
+    # the slot's words: the sign ('-' or NUL), the prefix and the leading digit, the four quarters of the low
+    # sixteen digits of d, and the exponent with the separator
     high = d // 100_000_000
     lead = high // 100_000_000
     halves = np.empty((2, n), dtype=np.uint32)
@@ -263,7 +259,7 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
     quarters[:, 1] = halves - 10_000 * quarters[:, 0]
     quarters = quarters.reshape(4, n)
     src = np.empty((_ROW // 8, n), dtype="<u8")
-    src[0] = int.from_bytes(b"-0.000\0.", "little") + ((lead + 48) << 48)
+    src[0] = int.from_bytes(b"\0" b"0.000\0.", "little") + ((lead + 48) << 48) + (x < 0) * ord("-")
     quads.take(quarters, out=src[1:5])
     exps.take(k - _K_MIN, out=src[5])
     src[5] |= int.from_bytes(sep, "little") << 40
@@ -271,8 +267,11 @@ def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
     # trailing zeros of d: those of its last quarter, and while a quarter is all zeros, those of the one before
     tz = trailing.take(quarters)
     zeros = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
-    form = np.where((k >= -4) & (k <= 16 - json_), k + 4, _FORMS - 2 + (np.abs(k) >= 100))
-    cell = (((x < 0) * 2 + json_) * _FORMS + form) * 17 + 16 - zeros
+    fixed = (k >= -4) & (k <= 16 - json_)
+    form = np.where(fixed, k + 4, _FORMS - 2 + (np.abs(k) >= 100))
+    # the mask row: form, and digits kept less one; repr's '.0' after an integral fixed value is one more digit
+    # kept, a zero, and k <= 15 there keeps that within 17
+    cell = form * 17 + np.maximum(16 - zeros, np.where(fixed & json_, k + 1, 0))
     np.bitwise_and(src.T, mask.take(cell, axis=0), out=words)
     # Python's text of a double is at most 24 bytes: it fits before the separator's byte
     bad = np.flatnonzero(~exact)

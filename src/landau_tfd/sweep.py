@@ -128,19 +128,6 @@ class SweepConfig:
             d["range"] = {**asdict(self.range_), "count": int(self.range_.count)}
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepConfig":
-        # float() reads the "inf" that to_dict writes for an infinite beta
-        r = d.get("range")
-        return cls(
-            mode=d["mode"],
-            params=PhysicalParams(**{k: float(d[k]) for k in ("hbar", "mass", "omega", "omega_ref", "beta")}),
-            betas=tuple(float(b) for b in d["betas"]),
-            range_=SweepRange(float(r["start"]), float(r["stop"]), int(r["count"]), bool(r["log"])) if r else None,
-            samples_per_period=int(d["samples_per_period"]),
-            fock_dim=int(d["fock_dim"]),
-        )
-
 
 @dataclass
 class SweepTable:

@@ -486,7 +486,7 @@ class TestLloyd:
         flat = np.broadcast_to(np.isinf(params.beta) | (params.omega == params.omega_ref), shape)
         assert np.all(max_rate[flat] == 0.0)
 
-    def test_scan_holds_one_block_of_rates(self):
+    def test_search_holds_one_rate_per_point(self):
         # each step of the search holds one rate per parameter point and their temporaries
         params = LLOYD_CASES["1000-betas"]
         lloyd_check(params)

@@ -39,7 +39,7 @@ from landau_tfd import (
     run_time_series,
     run_verify,
 )
-from landau_tfd import _g17, cli, fock, landau, sweep
+from landau_tfd import _g17, cli, landau, sweep
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -83,20 +83,6 @@ class TestSweepRange:
 
 
 class TestSweepConfig:
-    def test_roundtrip(self):
-        cfg = small_config("beta-sweep", range_=SweepRange(0.1, 10.0, 7, log=True))
-        again = SweepConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
-    def test_roundtrip_infinite_beta(self):
-        cfg = small_config(
-            "time-series",
-            params=PhysicalParams(omega=0.5, omega_ref=1.0, beta=math.inf),
-            betas=(math.inf, 0.0),
-        )
-        again = SweepConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             SweepConfig(mode="banana")
@@ -117,7 +103,6 @@ class TestSweepConfig:
         # numpy integers pass, and the header still writes them as JSON integers
         cfg = small_config("lloyd", range_=SweepRange(0.5, 2.0, np.int64(3)), samples_per_period=np.int32(8), fock_dim=np.int16(40))
         assert json.loads(run_lloyd(cfg).metadata["config"])["range"]["count"] == 3
-        assert SweepConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestTimeSeries:
@@ -155,11 +140,6 @@ class TestTimeSeries:
         for t, r in zip(table.column("t"), table.column("rate[beta=0]")):
             assert r == high_T_rate_limit(t, p)
         assert "beta0_note" in table.metadata
-
-    def test_metadata_echoes_config(self):
-        cfg = small_config("time-series")
-        table = run_time_series(cfg)
-        assert SweepConfig.from_dict(json.loads(table.metadata["config"])) == cfg
 
 
 class TestBetaOmegaSweeps:
@@ -599,17 +579,19 @@ class TestStreaming:
         assert first_difference(written(getattr(table, writer)), reference(table)) is None
 
 
-def test_log_grid_decades_are_proven_in_the_pass():
-    # log10 rounds up to k just below 10^k (1e-7 gives -7): the pass then steps k down instead of falling back
+def test_values_whose_log10_rounds_across_a_decade_fall_back():
+    # just below 10^k log10 may round up to k (1e-7 gives -7): s + r then lies a decade off, and the pass falls back
     grid = np.logspace(-12, 3, 4096)
     powers = np.array([float(f"1e{q}") for q in range(-280, 280)])
-    assert _g17.digits17(grid)[2].all() and _g17.digits17(powers)[2].all()
-    assert _g17.shortest(grid)[2].all()
-    # two powers keep repr's own fallback: 1e16 lies in [2^53, 1e17), where both ends of its interval are
-    # integers on the scaled axis, and 10^23 itself is the midpoint above the double nearest it
-    assert powers[~_g17.shortest(powers)[2]].tolist() == [1e16, 1e23]
-    assert mismatches(np.concatenate([grid, powers])) == []
-    assert mismatches(np.concatenate([grid, powers]), json_=True) == []
+    x = np.concatenate([grid, powers])
+    across = np.floor(np.log10(x)) != [Decimal(v).adjusted() for v in x.tolist()]
+    assert across.any()
+    assert (~_g17.digits17(x)[2] == across).all()
+    # repr adds its own fallback at 1e16, in [2^53, 1e17), where both ends of its interval are integers on the
+    # scaled axis
+    assert (~_g17.shortest(x)[2] == across | (x == 1e16)).all()
+    assert mismatches(x) == []
+    assert mismatches(x, json_=True) == []
 
 
 def python_cells(x: np.ndarray, json_: bool = False) -> list:
@@ -643,41 +625,59 @@ _DOUBLE_BITS = st.tuples(st.integers(0, 1), st.integers(0, 2047), st.integers(0,
 )
 
 
-class TestExactCells:
-    """Every CSV float cell is '%.17g' % x, byte for byte, whether the array pass or the fallback writes it."""
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bits=st.lists(_DOUBLE_BITS, min_size=1, max_size=40))
+@example(bits=[0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1, (1 << 63) | 1, 2**52 - 1])
+def raw_bits_match(json_, bits):
+    # a function, not a method: hypothesis runs a method given to two subclasses as two differing executors
+    assert mismatches(np.array(bits, dtype=np.uint64).view(np.float64), json_) == []
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(bits=st.lists(_DOUBLE_BITS, min_size=1, max_size=40))
-    @example(bits=[0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1, (1 << 63) | 1, 2**52 - 1])
-    def test_raw_bit_patterns(self, bits):
-        assert mismatches(np.array(bits, dtype=np.uint64).view(np.float64)) == []
+
+class CellSuite:
+    """Every float cell is Python's text of its value, byte for byte, whether the array pass or the fallback
+    writes it: '%.17g' % x in CSV, repr(x) in JSON.  A subclass sets the style."""
+
+    json_: bool
+    seed: int
+
+    def test_raw_bit_patterns(self):
+        raw_bits_match(self.json_)
 
     def test_uniform_bit_patterns(self):
-        bits = np.random.default_rng(11).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
-        assert mismatches(bits.view(np.float64)) == []
+        bits = np.random.default_rng(self.seed).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        assert mismatches(bits.view(np.float64), self.json_) == []
 
     def test_powers_of_two(self):
-        assert mismatches(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))) == []
+        # the double below a power of two is half as far as the one above it
+        assert mismatches(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))), self.json_) == []
+
+    def test_powers_of_ten(self):
+        # 10^q and its two neighbours, where floor(log10 |x|) may round to the next power
+        assert mismatches(with_neighbours(np.array([float(f"1e{q}") for q in range(-300, 300)])), self.json_) == []
 
     def test_dyadic_fractions(self):
         # k * 2^-j has an exact decimal expansion of up to j digits, so 17-digit rounding meets exact ties
         x = (np.arange(1, 1025)[:, None] * np.ldexp(1.0, -np.arange(61))).ravel()
-        assert np.count_nonzero(~_g17.digits17(x)[2]) > 1000  # the ties and their near misses
-        assert mismatches(np.concatenate([x, -x])) == []
-
-    def test_powers_of_ten(self):
-        # 10^q and its two neighbours, where floor(log10 |x|) may round to the next power
-        assert mismatches(with_neighbours(np.array([float(f"1e{q}") for q in range(-300, 300)]))) == []
+        if not self.json_:
+            assert np.count_nonzero(~_g17.digits17(x)[2]) > 1000  # the ties and their near misses
+        assert mismatches(np.concatenate([x, -x]), self.json_) == []
 
     def test_integers_near_two_to_the_53(self):
+        # from 2^53 to 1e17 both ends of repr's interval are integers on the scaled axis: the guard band takes them
         ints = np.arange(2**53 - 1000, 2**53 + 1000).astype(float)
-        assert mismatches(np.concatenate([ints * 2.0**j for j in range(5)])) == []
+        assert mismatches(np.concatenate([ints * 2.0**j for j in range(5)]), self.json_) == []
 
     def test_every_fixed_and_exponent_form(self):
         # each k from -6 to 20 and beyond, with every count of kept digits from 1 to 17
         digits = np.array([int("123456789" * 2) // 10 ** (17 - m) * 10 ** (17 - m) for m in range(1, 18)], dtype=float)
         x = (digits[:, None] * 10.0 ** (np.arange(-300, 300) - 16.0)).ravel()
-        assert mismatches(with_neighbours(x)) == []
+        assert mismatches(with_neighbours(x), self.json_) == []
+
+
+class TestExactCells(CellSuite):
+    """The CSV style, '%.17g' % x, and the digits17 pass behind it."""
+
+    json_, seed = False, 11
 
     def test_tie_falls_back(self):
         # 2^-25 = 2.98023223876953125e-08 has 18 digits and ends in 5: round half to even gives ...812
@@ -702,40 +702,10 @@ def repr_candidates(x: float) -> int:
     return math.ceil(hi / unit) - math.floor(lo / unit) - 1
 
 
-class TestShortestCells:
-    """Every JSON float cell is repr(x), byte for byte, whether the array pass or the fallback writes it."""
+class TestShortestCells(CellSuite):
+    """The JSON style, repr(x), and the shortest pass behind it."""
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(bits=st.lists(_DOUBLE_BITS, min_size=1, max_size=40))
-    @example(bits=[0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, 1, (1 << 63) | 1, 2**52 - 1])
-    def test_raw_bit_patterns(self, bits):
-        assert mismatches(np.array(bits, dtype=np.uint64).view(np.float64), json_=True) == []
-
-    def test_uniform_bit_patterns(self):
-        bits = np.random.default_rng(12).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
-        assert mismatches(bits.view(np.float64), json_=True) == []
-
-    def test_powers_of_two(self):
-        # the double below a power of two is half as far as the one above it
-        assert mismatches(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))), json_=True) == []
-
-    def test_powers_of_ten(self):
-        assert mismatches(with_neighbours(np.array([float(f"1e{q}") for q in range(-300, 300)])), json_=True) == []
-
-    def test_dyadic_fractions(self):
-        # exact ties when a 17-digit value is rounded
-        x = (np.arange(1, 1025)[:, None] * np.ldexp(1.0, -np.arange(61))).ravel()
-        assert mismatches(np.concatenate([x, -x]), json_=True) == []
-
-    def test_integers_near_two_to_the_53(self):
-        # from 2^53 to 1e17 both ends of the interval are integers on the scaled axis: the guard band takes them
-        ints = np.arange(2**53 - 1000, 2**53 + 1000).astype(float)
-        assert mismatches(np.concatenate([ints * 2.0**j for j in range(5)]), json_=True) == []
-
-    def test_every_fixed_and_exponent_form(self):
-        digits = np.array([int("123456789" * 2) // 10 ** (17 - m) * 10 ** (17 - m) for m in range(1, 18)], dtype=float)
-        x = (digits[:, None] * 10.0 ** (np.arange(-300, 300) - 16.0)).ravel()
-        assert mismatches(with_neighbours(x), json_=True) == []
+    json_, seed = True, 12
 
     def test_repr_switches(self):
         # fixed notation through k = 15, an integral fixed value with '.0', and the sign of zero
@@ -805,64 +775,6 @@ class TestVerify:
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["covariance oracle vs closed form"]
 
-    def failing_checks(self, capsys) -> list:
-        """The names of the failing checks of a default verify run, which must exit 2."""
-        assert main(["--mode", "verify"]) == 2
-        return [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
-
-    def test_nan_in_the_second_covariance_block_fails(self, monkeypatch, capsys):
-        def with_nan(t, params):
-            g_1p, g_1m, g_2 = covariance_g(t, params)
-            g_1m[-1, -1, 1, 1] = np.nan
-            return g_1p, g_1m, g_2
-
-        monkeypatch.setattr(sweep, "covariance_g", with_nan)
-        assert self.failing_checks(capsys) == ["covariance oracle vs closed form"]
-
-    def test_nan_in_the_last_ladder_case_fails(self, monkeypatch, capsys):
-        exact = landau.ladder_action_check
-
-        def with_nan(n, ell, which, params):
-            # "b" is the last of the check's four cases
-            return math.nan if which == "b" else exact(n, ell, which, params)
-
-        monkeypatch.setattr(landau, "ladder_action_check", with_nan)
-        assert self.failing_checks(capsys) == ["ladder-operator coefficients"]
-
-    def test_nan_in_a_commutator_fails(self, monkeypatch, capsys):
-        exact = fock.ladder_matrix
-
-        def with_nan(dim):
-            a = exact(dim)
-            a[0, 1] = np.nan
-            return a
-
-        monkeypatch.setattr(fock, "ladder_matrix", with_nan)
-        # the covariance oracle builds its quadratures from the same matrix
-        assert self.failing_checks(capsys) == [
-            "[a,a_dagger] interior",
-            "a_dagger a = diag(n)",
-            "covariance oracle vs closed form",
-        ]
-
-    def test_ladder_check_catches_relative_error(self, monkeypatch):
-        exact = landau.ladder_action_check
-        monkeypatch.setattr(landau, "ladder_action_check", lambda *args: exact(*args) * (1.0 + 1e-10))
-        report = run_verify(small_config("verify", fock_dim=60))
-        failing = [c.name for c in report.checks if not c.passed]
-        assert failing == ["ladder-operator coefficients"]
-
-    @pytest.mark.parametrize(
-        "oracle, check",
-        [("laguerre_norm_integral", "laguerre orthogonality"), ("wavefunction_gram", "wavefunction orthonormality")],
-    )
-    def test_landau_check_catches_relative_error(self, oracle, check, monkeypatch):
-        exact = getattr(landau, oracle)
-        monkeypatch.setattr(landau, oracle, lambda *args: exact(*args) * (1.0 + 1e-9))
-        report = run_verify(small_config("verify", fock_dim=60))
-        failing = [c.name for c in report.checks if not c.passed]
-        assert failing == [check]
-
     def test_landau_checks_make_one_call_each(self, monkeypatch):
         calls = {"laguerre_norm_integral": 0, "wavefunction_gram": 0}
 
@@ -931,6 +843,19 @@ class TestEvaluatedOnce:
         assert sorted(calls) == [1, _CHUNK, _CHUNK]
 
 
+def argv_of(config: dict) -> list:
+    """The command line that a table's config header records; an infinite beta is the string "inf" there."""
+    argv = ["--mode", config["mode"]]
+    for key in ("omega", "omega_ref", "hbar", "mass"):
+        argv += ["--" + key.replace("_", "-"), repr(config[key])]
+    for beta in config["betas"]:
+        argv += ["--beta", str(beta)]
+    if "range" in config:
+        r = config["range"]
+        argv += ["--range", f"{r['start']!r}:{r['stop']!r}:{r['count']}" + (":log" if r["log"] else "")]
+    return argv + ["--samples", str(config["samples_per_period"]), "--fock-dim", str(config["fock_dim"])]
+
+
 class TestCli:
     def run_cli(self, *argv, **kw):
         return main(list(argv)), kw
@@ -974,6 +899,26 @@ class TestCli:
 
     def test_usage_error_missing_mode(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (["--mode", "time-series", "--omega", "0.5", "--beta", "inf", "--beta", "1", "--beta", "0", "--samples", "16"], "csv"),
+            # no --beta: the sweep runs at the first default beta, inf
+            (["--mode", "beta-sweep", "--omega", "0.3", "--range", "0.1:10:9:log"], "json"),
+            (["--mode", "omega-sweep", "--beta", "5", "--mass", "2", "--range", "1e-2:1e2:7"], "csv"),
+        ],
+        ids=["time-series", "beta-sweep", "omega-sweep"],
+    )
+    def test_config_header_reruns_the_table(self, argv, fmt, capsys):
+        assert main([*argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            header = json.loads(out)["metadata"]["config"]
+        else:
+            header = next(ln for ln in out.splitlines() if ln.startswith("# config="))[len("# config=") :]
+        assert main([*argv_of(json.loads(header)), "--format", fmt]) == 0
+        assert capsys.readouterr().out == out
 
     def test_lloyd_exit_zero(self, capsys):
         code = main(["--mode", "lloyd", "--omega", "0.5", "--range", "0.1:10:5:log"])

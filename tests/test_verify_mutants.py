@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from landau_tfd import fock, landau
+from landau_tfd import fock, landau, sweep
 from landau_tfd.cli import main
 from landau_tfd.sweep import SweepConfig, run_verify
 
@@ -32,9 +32,10 @@ def rotated(dim: int, angle: float) -> np.ndarray:
     return rot
 
 
-def off_diagonal(gram: np.ndarray) -> np.ndarray:
-    gram[0, 1] += 1e-10
-    return gram
+def bumped(a, index: tuple, by: float) -> np.ndarray:
+    """a with by added to its entry at index, in place: a NaN for by makes that entry NaN."""
+    a[index] += by
+    return a
 
 
 def wrap(module, seam: str, mutant):
@@ -58,21 +59,44 @@ ROWS = [
     pytest.param(wrap(fock, "ladder_matrix", lambda a, dim: a * (1 + 1e-9)), [INTERIOR, NUMBER], id="ladder-scaled"),
     pytest.param(wrap(fock, "ladder_matrix", lambda a, dim: a + 1e-6 * np.eye(dim)), [NUMBER], id="ladder-shifted"),
     pytest.param(wrap(fock, "ladder_matrix", lambda a, dim: rotated(dim, 1e-6) @ a), [INTERIOR], id="ladder-rotated"),
+    # the covariance oracle builds its quadratures from the same matrix
+    pytest.param(
+        wrap(fock, "ladder_matrix", lambda a, dim: bumped(a, (0, 1), math.nan)), [INTERIOR, NUMBER, COVARIANCE], id="ladder-nan"
+    ),
     pytest.param(
         wrap(fock, "tfd_a_sector_state", lambda s, t, p, dim: (s[0] * np.exp(-1e-6j * np.arange(dim)), s[1])),
         [COVARIANCE],
         id="tfd-phase",
     ),
     pytest.param(wrap(complexity, "alpha_of", lambda a, p: (*a[:2], a[2] * (1 + 1e-7))), [COVARIANCE], id="sinh2a-scaled"),
+    # a NaN in the last point of the second covariance block
+    pytest.param(
+        wrap(sweep, "covariance_g", lambda g, t, p: (g[0], bumped(g[1], (-1, -1, 1, 1), math.nan), g[2])),
+        [COVARIANCE],
+        id="covariance-nan",
+    ),
     pytest.param(wrap(complexity, "_rate", lambda r, kernel, t, p: r * (1 + 1e-5)), [RATE], id="rate-scaled"),
     pytest.param(
         wrap(landau, "_gauss_laguerre", lambda xw, nodes: (xw[0], xw[1] * (1 + 1e-9))),
         [LAGUERRE],
         id="gauss-laguerre-weights",
     ),
+    pytest.param(
+        wrap(landau, "laguerre_norm_integral", lambda v, *args: v * (1 + 1e-9)), [LAGUERRE], id="laguerre-integral-scaled"
+    ),
     pytest.param(wrap(landau, "_radial_rule", lambda r: (*r[:2], r[2] * (1 + 1e-9))), [LADDER], id="radial-derivative"),
     pytest.param(flip_b_phi, [LADDER], id="b-phi-sign"),
-    pytest.param(wrap(landau, "wavefunction_gram", lambda gram, *args: off_diagonal(gram)), [GRAM], id="gram-off-diagonal"),
+    pytest.param(wrap(landau, "ladder_action_check", lambda v, *args: v * (1 + 1e-10)), [LADDER], id="ladder-action-scaled"),
+    # "b" is the last of the ladder check's four cases
+    pytest.param(
+        wrap(landau, "ladder_action_check", lambda v, n, ell, which, p: math.nan if which == "b" else v),
+        [LADDER],
+        id="ladder-action-b-nan",
+    ),
+    pytest.param(
+        wrap(landau, "wavefunction_gram", lambda gram, *args: bumped(gram, (0, 1), 1e-10)), [GRAM], id="gram-off-diagonal"
+    ),
+    pytest.param(wrap(landau, "wavefunction_gram", lambda gram, *args: gram * (1 + 1e-9)), [GRAM], id="gram-scaled"),
 ]
 
 
