@@ -1,11 +1,11 @@
 """Exact '%.17g' % x and repr(x) text for a float array, by one numpy pass.
 
-The table writer of sweep lays out every chunk of rows here, as one byte
-array in the row layout it passes: its CSV float cells in the first style,
-its JSON ones in the second.  Python's own '%.17g' % x or repr(x) runs only
-for the values the pass cannot prove exact, a value whose log10 rounds
-across a power of ten among them, whose text it writes into the cell's
-own slot, and for a column whose values in the chunk are all the same.
+The table writer of sweep lays out every chunk of rows here, one byte array
+in the row layout it passes with a 32-byte slot per float cell: its CSV
+cells in the first style, its JSON ones in the second.  Python's own
+'%.17g' % x or repr(x) runs only for the values the pass cannot prove exact,
+a value whose log10 rounds across a power of ten among them, writing into
+the cell's own slot, and for a column whose values in a chunk are the same.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import numpy as np
 # k = floor(log10 |x|) runs over [-280, 279] for |x| in [1e-280, 1e280); the tables reach one further
 # either way, for a log10 that rounds across a power of ten, whose value falls back
 _K_MIN, _K_MAX = -281, 280
-# one cell's slot: the sign or NUL, then '0.000' (the 0.000ddd prefix) at 0..5, digit i of d at 6 + 2i with a '.'
-# after it, then 'e', the exponent's sign and three digits at 40..44, and the cell's separator at 45
-_ROW = 48
+# one cell's slot: the sign or NUL, then '0.000' (the 0.000ddd prefix) at 0..5, the lead digit at 6 and a '.' at 7,
+# the sixteen low digits at 8..23, one byte each, with the point shifted in after digit k in a fixed form and the
+# last digit spilled to 24, then 'e', the exponent's sign and three digits at 25..29, and the cell's separator at 30
+_ROW = 32
 # the forms of a cell: fixed notation at k = -4..16, then the exponent form with two and with three digits
 _FORMS = 23
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: x * _SPLIT parts a double into two halves of 26 bits
@@ -53,13 +54,13 @@ def _tables() -> tuple:
     10^q for q = 16 - k as hi + lo, to about 2^-105 relative: the exact
     product of 10^(22c), a double-double from integers (10^(22c) itself
     for c >= 0, floor(2^s / 10^-22c) 2^-s for c < 0), and 10^b, an exact
-    double, for q = 22c + b.  Every group of four digits and every
-    exponent as an 8-byte word of the slot layout, the trailing zeros of
-    each group, and per (form, digits kept) the mask of the bytes that
-    make a cell and its separator, as words of 0xFF and 0x00 bytes; the
-    sign byte, '-' or NUL, is always kept.  q reaches a decade past
-    [1e-280, 1e280) either way, for a log10 that rounds across a power
-    of ten: such a value falls back.
+    double, for q = 22c + b.  Four digits as four bytes and their
+    trailing zeros, every exponent as the slot's last word, per style and
+    k the form and fewest digits kept less one, per form the low-digit
+    bytes that stay put and the '.' shifted in, and per (form, digits
+    kept) the bytes that make a cell and its separator, as words of 0xFF
+    and 0x00 bytes.  q reaches a decade past [1e-280, 1e280) either way,
+    for a log10 that rounds across a power of ten: such a value falls back.
     """
     c, b = np.divmod(np.arange(16 - _K_MAX, 17 - _K_MIN), 22)
     coarse = []
@@ -74,36 +75,48 @@ def _tables() -> tuple:
     hi = p + t
     lo = t - (hi - p)
 
-    # four digits with a '.' after each as one word of the slot layout, and how many of them are trailing zeros
+    # four digits as four ASCII bytes, and how many of them are trailing zeros
     d1, d2, d3, d4 = np.ix_(*[np.arange(10)] * 4)
-    quads = (48 + d1 | (48 + d2) << 16 | (48 + d3) << 32 | (48 + d4) << 48 | int.from_bytes(b"\0." * 4, "little")).ravel()
+    quads = (48 + d1 | (48 + d2) << 8 | (48 + d3) << 16 | (48 + d4) << 24).ravel()
     trailing = ((d4 == 0) * (1 + (d3 == 0) * (1 + (d2 == 0) * (1 + (d1 == 0))))).ravel()
     exp = np.arange(_K_MIN, _K_MAX + 1)
     e = np.abs(exp)
     exps = (
-        ord("e") | np.where(exp < 0, ord("-"), ord("+")) << 8
-        | (48 + e // 100) << 16 | (48 + e // 10 % 10) << 24 | (48 + e % 10) << 32
+        ord("e") << 8 | np.where(exp < 0, ord("-"), ord("+")) << 16
+        | (48 + e // 100) << 24 | (48 + e // 10 % 10) << 32 | (48 + e % 10) << 40
     )
+    # per style, each k's form and fewest digits kept less one: fixed notation up to k = 16 in '%.17g' and 15 in
+    # repr, where an integral value keeps k + 2 digits for its '.0'
+    json_ = np.arange(2)[:, None]
+    fixed = (exp >= -4) & (exp <= 16 - json_)
+    styles = np.stack([np.where(fixed, exp + 4, _FORMS - 2 + (e >= 100)), np.where(fixed & (json_ > 0), exp + 1, 0)], 1)
+    # per form, the bytes of the two low-digit words that stay put, and the '.' where the point is shifted in
+    word, k, byte = np.ogrid[:2, -4 : _FORMS - 4, :8]
+    low, shifted = 8 * word + byte, (k >= 1) & (k <= 15)
+    shifts = np.stack([(~shifted | (low < k)) * 0xFF, (shifted & (low == k)) * ord(".")]).astype(np.uint8)
 
     form, kept, at = np.ogrid[:_FORMS, 1:18, :_ROW]
     k = form - 4
     fixed = form < _FORMS - 2
-    digit, point = (at - 6) // 2, np.where(fixed, k, 0)  # the digit at a byte, and the digit the point follows
+    frac, point = fixed & (k < 0), np.where(fixed, k, 0)  # the 0.000ddd forms, and the digit the point follows
+    shifted = (k >= 1) & (k <= 15)  # the point at byte 8 + k, and the digits after it one byte up
+    dot = np.where(shifted, 8 + k, 7)  # the point's byte
+    digit = at - 6 - (at > 7) - (shifted & (at > dot))  # the digit at a byte, from 6 to 24 save the point's
     mask = (
         (at == 0)  # '-' or NUL
-        | (((at == 1) | (at == 2)) & fixed & (k < 0))  # '0.' before a fraction's
-        | ((at >= 3) & (at < 6) & fixed & (at - 3 < -k - 1))  # -k - 1 leading zeros
+        | (((at == 1) | (at == 2)) & frac)  # '0.' before a fraction's
+        | ((at >= 3) & (at < 6) & frac & (at - 3 < -k - 1))  # -k - 1 leading zeros
         # the digits kept, and in fixed form every digit before the point
-        | ((at >= 6) & (at < 40) & (at % 2 == 0) & (digit <= np.maximum(kept - 1, point)))
-        # the point, if digits follow it
-        | ((at >= 6) & (at < 40) & (at % 2 == 1) & (digit == point) & (kept - 1 > point))
-        | (((at == 40) | (at == 41) | (at == 43) | (at == 44)) & ~fixed)  # 'e', its sign and two digits
-        | ((at == 42) & (form == _FORMS - 1))  # a third exponent digit
-        | (at == 45)
+        | (((at == 6) | ((at >= 8) & (at <= 24) & (at != dot))) & (digit <= np.maximum(kept - 1, point)))
+        | ((at == dot) & ~frac & (kept - 1 > point))  # the point, if digits follow it
+        | ((at >= 25) & (at <= 29) & (at != 27) & ~fixed)  # 'e', its sign and two digits
+        | ((at == 27) & (form == _FORMS - 1))  # a third exponent digit
+        | (at == 30)
     ).reshape(-1, _ROW)
     tables = (
         hi, *_split(hi), lo,
-        quads.astype("<u8"), trailing.astype(np.uint8), exps.astype("<u8"),
+        quads.astype("<u4"), trailing.astype(np.uint8), exps.astype("<u8"), styles,
+        shifts.view("<u8")[..., 0],  # (stay or dot, word, form): a take by form reads contiguous rows
         (mask * 0xFF).astype(np.uint8).view("<u8"),
     )
     for a in tables:
@@ -231,52 +244,54 @@ def _words(b: bytes) -> np.ndarray:
 
 
 def _fill(x: np.ndarray, json_: bool, words: np.ndarray, sep: bytes) -> None:
-    """Lay out each x and sep in its slot, a row of words (n, 6).
+    """Lay out each x and sep in its slot, a row of words (n, 4).
 
-    digits17 or shortest gives each |x| as a 17-digit integer d; d goes
-    to ASCII four digits a word, from a table, and a byte mask per
-    (form, digits kept) picks the fixed, 0.000ddd or exponent form, with
-    its trailing zeros stripped, out of one slot layout: every byte the
-    mask drops becomes NUL.  The slot's first byte is '-' or NUL.  repr
-    writes fixed notation up to k = 15, '%.17g' up to 16, and repr's
-    '.0' after an integral fixed value is one more digit kept, a zero.
-    Where the digits are not proven, the slot holds Python's text,
-    NUL-padded to sep at byte 45.
+    digits17 or shortest gives each |x| as a 17-digit integer d, one byte
+    a digit, four at a time from a table.  In a fixed form with 1 <= k <=
+    15 the digits after digit k move up one byte, the last into byte 24,
+    and a '.' fills the gap.  A byte mask per (form, digits kept) picks
+    the fixed, 0.000ddd or exponent form, its trailing zeros stripped:
+    every byte it drops becomes NUL.  The sign byte is '-' or NUL.
+    repr writes fixed notation up to k = 15, '%.17g' up to 16, and its
+    '.0' after an integral fixed value is one more digit kept.  Where the
+    digits are not proven, the slot holds Python's text, NUL-padded to
+    sep at byte 30.
     """
-    quads, trailing, exps, mask = _tables()[4:]
+    quads, trailing, exps, styles, shifts, mask = _tables()[4:]
     n = len(x)
     d, k, exact = (shortest if json_ else digits17)(x)
 
-    # the slot's words: the sign ('-' or NUL), the prefix and the leading digit, the four quarters of the low
-    # sixteen digits of d, and the exponent with the separator
+    # the slot's words: the sign ('-' or NUL), the prefix and the leading digit; the low sixteen digits of d, eight
+    # a word and four from each quads entry; and the digit spilled from the shift, the exponent and the separator
     high = d // 100_000_000
     lead = high // 100_000_000
-    halves = np.empty((2, n), dtype=np.uint32)
-    halves[0] = high - lead * 100_000_000
-    halves[1] = d - high * 100_000_000
-    quarters = np.empty((2, 2, n), dtype=np.uint32)
-    np.floor_divide(halves, 10_000, out=quarters[:, 0])
-    quarters[:, 1] = halves - 10_000 * quarters[:, 0]
-    quarters = quarters.reshape(4, n)
+    halves = np.array([high - lead * 100_000_000, d - high * 100_000_000], dtype=np.uint32)
+    quarters = np.empty((2, n, 2), dtype=np.uint32)
+    np.floor_divide(halves, 10_000, out=quarters[..., 0])
+    quarters[..., 1] = halves - 10_000 * quarters[..., 0]
     src = np.empty((_ROW // 8, n), dtype="<u8")
     src[0] = int.from_bytes(b"\0" b"0.000\0.", "little") + ((lead + 48) << 48) + (x < 0) * ord("-")
-    quads.take(quarters, out=src[1:5])
-    exps.take(k - _K_MIN, out=src[5])
-    src[5] |= int.from_bytes(sep, "little") << 40
+    quads.take(quarters, out=src[1:3].view("<u4").reshape(2, n, 2))
+
+    # the point shifted in after digit k of a fixed form: the digits after it move up one byte, into the next word
+    form, least = styles[int(json_)].take(k - _K_MIN, axis=1)
+    stay, dot = shifts.take(form, axis=2)
+    kept = src[1:3] & stay
+    moved = src[1:3] ^ kept
+    np.bitwise_or(kept | dot, moved << 8, out=src[1:3])
+    src[2] |= moved[0] >> 56
+    exps.take(k - _K_MIN, out=src[3])
+    src[3] |= int.from_bytes(sep, "little") << 48 | moved[1] >> 56
 
     # trailing zeros of d: those of its last quarter, and while a quarter is all zeros, those of the one before
-    tz = trailing.take(quarters)
+    tz = trailing.take(quarters).transpose(0, 2, 1).reshape(4, n)
     zeros = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
-    fixed = (k >= -4) & (k <= 16 - json_)
-    form = np.where(fixed, k + 4, _FORMS - 2 + (np.abs(k) >= 100))
-    # the mask row: form, and digits kept less one; repr's '.0' after an integral fixed value is one more digit
-    # kept, a zero, and k <= 15 there keeps that within 17
-    cell = form * 17 + np.maximum(16 - zeros, np.where(fixed & json_, k + 1, 0))
-    np.bitwise_and(src.T, mask.take(cell, axis=0), out=words)
+    # the mask row: form, and digits kept less one, at least repr's '.0' in an integral fixed value
+    np.bitwise_and(src.T, mask.take(form * 17 + np.maximum(16 - zeros, least), axis=0), out=words)
     # Python's text of a double is at most 24 bytes: it fits before the separator's byte
     bad = np.flatnonzero(~exact)
     if len(bad):
-        texts = b"".join((_text(v, json_).encode().ljust(45, b"\0") + sep).ljust(_ROW, b"\0") for v in x[bad].tolist())
+        texts = b"".join((_text(v, json_).encode().ljust(30, b"\0") + sep).ljust(_ROW, b"\0") for v in x[bad].tolist())
         words[bad] = np.frombuffer(texts, dtype="<u8").reshape(-1, _ROW // 8)
 
 
@@ -290,9 +305,9 @@ def rows(cols: list, json_: bool, layout: tuple, buf: bytearray) -> bytes:
     row, the layout's bytes, with each cell's slot between them ending
     in ',' or the last cell's separator, and each part padded with NUL
     to whole 8-byte words.  Every word is written, so nothing an earlier
-    chunk left in buf shows.  A float column's slot is _fill's, Python's
-    text included where the pass falls back, a bool column's its text
-    from a table.  A column whose values in the chunk are bitwise
+    chunk left in buf shows.  A float column's slot is _fill's 32 bytes,
+    Python's text where the pass falls back, a bool column's one word of
+    its text from a table.  A column whose values in the chunk are bitwise
     identical (so -0.0 and 0.0 differ) is written once, by Python, into
     the layout's bytes.  One translate drops the NULs and gives the
     chunk's text.

@@ -11,6 +11,7 @@ and their asymptotic expansions.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -311,10 +312,36 @@ def oscillation_amplitude(params: PhysicalParams):
     return np.where(half_s2 > 0.0, amp, 0.0)[()]
 
 
-def _log_ratio_factor(u):
-    """u coth u, with its limit 1 at u = 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where(u == 0.0, 1.0, u / np.tanh(u))
+@functools.cache
+def _coth_series() -> tuple:
+    """c_1 .. c_18 of u coth u = 1 + sum c_n u^(2n), exact rationals rounded once.
+
+    From u cosh u = sinh u (u coth u), 1/(2n)! = sum over k <= n of
+    c_k / (2(n - k) + 1)!.  |c_n| is about 2 / pi^(2n), so for |u| < 1
+    the terms fall about tenfold each and the 19th is below 1e-17 of the sum.
+    """
+    from fractions import Fraction  # loaded on the first low_T call: with decimal it takes 2 ms to import
+
+    c = [Fraction(1)]
+    for n in range(1, 19):
+        below = sum(ck / math.factorial(2 * (n - k) + 1) for k, ck in enumerate(c))
+        c.append(Fraction(1, math.factorial(2 * n)) - below)
+    return tuple(float(ck) for ck in c[1:])
+
+
+def _coth_excess(u):
+    """u coth u - 1, with its limit 0 at u = 0, and no cancellation.
+
+    For |u| < 1, its series in u^2, whose terms alternate in sign but
+    fall as (u / pi)^(2n); from |u| = 1 on, (|u| - 1) + 2|u| / expm1(2|u|),
+    a sum of two terms >= 0.  u / tanh u - 1 loses all its digits near
+    u = 0, where the excess is about u^2 / 3.
+    """
+    a = np.abs(u)
+    x, b = np.minimum(a, 1.0) ** 2, np.maximum(a, 1.0)
+    with np.errstate(over="ignore"):
+        big = (b - 1.0) + 2.0 * b / np.expm1(2.0 * b)
+    return np.where(a < 1.0, x * np.polynomial.polynomial.polyval(x, _coth_series()), big)
 
 
 def _regime(regime: str, params: PhysicalParams) -> tuple:
@@ -361,7 +388,7 @@ def asymptotic_complexity(regime: str, t, params: PhysicalParams):
     if regime == "low_T":
         c_0 = np.sqrt(LN6 * LN6 + 2.0 * u * u)
         c, s = np.cos(wt), np.sin(wt)
-        return c_0 + (2.0 * np.exp(-bho) / c_0) * (c * c + _log_ratio_factor(u) * s * s)
+        return c_0 + (2.0 * np.exp(-bho) / c_0) * (c * c + (1.0 + _coth_excess(u)) * s * s)
     big_l = math.log(4.0) - np.log(bho)
     # 2 ln|cos phi| and 2 ln|sin phi|; logaddexp keeps q finite where e^{-2|u|} underflows at sin phi = 0
     with np.errstate(divide="ignore"):
@@ -384,7 +411,7 @@ def asymptotic_amplitude(regime: str, params: PhysicalParams):
     bho, u = _regime(regime, params)
     if regime == "low_T":
         c_0 = np.sqrt(LN6 * LN6 + 2.0 * u * u)
-        return (2.0 * np.exp(-bho) / c_0) * (_log_ratio_factor(u) - 1.0)
+        return (2.0 * np.exp(-bho) / c_0) * _coth_excess(u)
     # u^2 / (2 ln beta hbar omega) is 0/0 at u = 0 and beta hbar omega = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(u == 0.0, 0.0, np.log(np.cosh(u)) + u * u / (2.0 * np.log(bho)))[()]

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 import mp_reference as ref
 from landau_tfd import (
     PhysicalParams,
+    asymptotic_amplitude,
     complexity,
     complexity_rate,
     lloyd_check,
@@ -22,6 +24,7 @@ from landau_tfd import (
     relative_spectrum,
 )
 from landau_tfd.cli import main
+from landau_tfd.complexity import LN6, _coth_excess
 
 
 def params_at(bho: float, omega: float, omega_ref: float = 1.0) -> PhysicalParams:
@@ -91,6 +94,36 @@ class TestLowTemperatureAmplitude:
     def test_amplitude_exactly_zero_at_zero_temperature_equal_frequency(self):
         # every term of the factored form is 0/0 there
         assert oscillation_amplitude(PhysicalParams(omega=1.0, beta=math.inf)) == 0.0
+
+
+def coth_excess(u: float):
+    """u coth u - 1 at 40 digits past its own size, which is about u^2 / 3 below |u| = 1."""
+    with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(abs(u))))):
+        return mpf(u) * mp.coth(mpf(u)) - 1
+
+
+# both sides of the series' edge at |u| = 1, and out to where expm1(2|u|) overflows
+EXCESS_U = [1e-150, 1e-8, 1e-5, 1e-3, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 30.0, 700.0]
+
+
+class TestCothExcess:
+    @pytest.mark.parametrize("u", EXCESS_U + [-u for u in EXCESS_U])
+    def test_within_four_ulps_of_mpmath(self, u):
+        # u / tanh u - 1 read 0.0 at u = 1e-8, for 3.3e-17, and was 8.3e-8 relative off at 1e-5
+        want = coth_excess(u)
+        assert float(abs(mpf(float(_coth_excess(u))) - want)) <= 4 * math.ulp(float(want))
+
+    def test_zero_at_zero(self):
+        assert _coth_excess(0.0) == 0.0 and _coth_excess(-0.0) == 0.0
+
+    @pytest.mark.parametrize("u", [1e-8, 1e-5, 1e-3])
+    def test_low_T_amplitude_at_small_u(self, u):
+        # (2 e^{-beta hbar omega} / c_0) (u coth u - 1) at the u and beta hbar omega the library forms from p
+        p = PhysicalParams(omega=1.0, omega_ref=math.exp(u), beta=40.0)
+        u = float(np.log(p.omega_ref) - np.log(p.omega))
+        with mp.workdps(40):
+            want = 2 * mp.exp(-mpf(p.beta)) / mp.sqrt(mpf(LN6) ** 2 + 2 * mpf(u) ** 2) * coth_excess(u)
+        assert ref.relative_error(asymptotic_amplitude("low_T", p), want) <= 1e-15
 
 
 class TestNoFloatingPointWarnings:

@@ -431,6 +431,25 @@ def test_unproven_cells_in_every_column_position(n, where, every_row):
     assert first_difference(written(table.to_json), reference_json(table)) is None
 
 
+# the longest texts of a double, 24 bytes in both styles: one the array pass proves, and one below 1e-280 that it
+# leaves to Python's text
+WIDEST = np.array([-1.2345678901234567e-100, -2.2250738585072014e-308, 1.5])
+
+
+@pytest.mark.parametrize("json_", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_widest_cells_in_every_column_position(json_, where):
+    # a widest text fills its slot up to the separator's byte; the last JSON cell has no separator
+    assert [len(c) for c in python_cells(WIDEST, json_)] == [24, 24, 3]
+    assert (_g17.shortest if json_ else _g17.digits17)(WIDEST)[2].tolist() == [True, False, True]
+    cols = [np.array([0.25, -3.0, 7e10]), np.array([-1e-5, 2.5e300, 1e16])]
+    cols.insert(where, WIDEST)
+    lead, between, end, last_sep = (part.decode() for part in sweep._LAYOUTS[json_])
+    rows = zip(*(python_cells(c, json_) for c in cols))
+    want = "".join(lead + ("," + between).join(row) + last_sep + end for row in rows)
+    assert _g17.rows(cols, json_, sweep._LAYOUTS[json_], bytearray()).decode() == want
+
+
 class TestTableShape:
     def test_ragged_columns_raise(self):
         with pytest.raises(ValueError, match="equal length"):
