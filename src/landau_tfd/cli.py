@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .complexity import PhysicalParams
@@ -44,7 +45,9 @@ def _parse_range(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged, so calls share it."""
     parser = _Parser(
         prog="landau-tfd",
         description="TFD complexity sweeps for a charged particle in a magnetic field",

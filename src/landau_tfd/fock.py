@@ -8,6 +8,7 @@ here is deliberately independent of the closed forms it validates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -109,18 +110,6 @@ def _quadratures(dim: int, params: PhysicalParams):
     return x, p
 
 
-def _quadratic_form(u: np.ndarray, v: np.ndarray, sign: float) -> np.ndarray:
-    """K with c^H K c = <(U x I + sign I x U) psi, (V x I + sign I x V) psi> / 2 on psi = sum_n c_n |n>|n>.
-
-    On the state matrix diag(c), (M x I) acts as M diag(c) and (I x M) as
-    diag(c) M^T; expanding the inner product gives
-    K = diag(sum_j conj(U_ja) V_ja) + sign conj(U)^T * V, elementwise.
-    """
-    k = sign * (u.conj().T * v)
-    k[np.diag_indices_from(k)] += np.sum(u.conj() * v, axis=0)
-    return k
-
-
 def oracle_covariance_1pm(t, params: PhysicalParams, dim: int = 60):
     """Brute-force covariance blocks of the +/- quadrature pairs.
 
@@ -129,9 +118,17 @@ def oracle_covariance_1pm(t, params: PhysicalParams, dim: int = 60):
     a-sector TFD state; returns (G1_plus, G1_minus), real arrays of shape
     (..., 2, 2) over the broadcast shape of t and beta.  omega, mass and
     hbar are scalars, since the quadrature matrices are built from them.
-    Each entry is a quadratic form c^H K c in the amplitudes (see
-    ``_quadratic_form``), so no state matrix is ever held, whatever the
-    number of points.
+    Each entry is a quadratic form in the amplitudes,
+
+        c^H K+- c = <(U x I +- I x U) psi, (V x I +- I x V) psi> / 2 on psi = sum_n c_n |n>|n>,
+
+    for quadratures U, V in {x, p}.  On the state matrix diag(c), (M x I)
+    acts as M diag(c) and (I x M) as diag(c) M^T, so the inner product
+    expands to K+- = diag(d) +- C with d = sum_j conj(U_ja) V_ja and
+    C = conj(U)^T * V, elementwise.  Both signs share each pair's d and C:
+    the diagonal part is one contraction of |c|^2, and the cross part one
+    matrix product of every point's amplitudes with C.  So no state matrix
+    is ever held, whatever the number of points.
     """
     c, norm_deficit = tfd_a_sector_state(t, params, dim)
     deficits = np.ravel(norm_deficit)
@@ -141,13 +138,21 @@ def oracle_covariance_1pm(t, params: PhysicalParams, dim: int = 60):
             f"truncation norm deficit {deficit:.3e} exceeds 1e-10; increase dim or beta*hbar*omega",
             RuntimeWarning,
         )
+    shape = c.shape[:-1]
+    c = c.reshape(-1, dim)
+    prob, w = np.abs(c) ** 2, np.empty_like(c)
     quad = _quadratures(dim, params)
-    c_h = c.conj()
-    blocks = []
-    for sign in (+1.0, -1.0):
-        entries = [[np.sum((c_h @ _quadratic_form(u, v, sign)) * c, axis=-1).real for v in quad] for u in quad]
-        blocks.append(2.0 * np.moveaxis(np.array(entries), (0, 1), (-2, -1)) / params.hbar)
-    return blocks[0], blocks[1]
+    # (part, i, j, point): the diagonal part and the cross part of each entry
+    parts = np.empty((2, 2, 2, len(c)))
+    for (i, u), (j, v) in itertools.product(enumerate(quad), repeat=2):
+        d = np.einsum("ja,ja->a", u.conj(), v)
+        # w = conj(c)^T C at every point, in one product: the conjugate of c conj(C), so no conjugate of c is held
+        np.conjugate(np.matmul(c, u.T * v.conj(), out=w), out=w)
+        parts[:, i, j] = prob @ d.real, np.einsum("pn,pn->p", w, c).real
+    diagonal, cross = parts
+    g = 2.0 * np.stack([diagonal + cross, diagonal - cross]) / params.hbar
+    g_plus, g_minus = np.moveaxis(g, (1, 2), (-2, -1)).reshape(2, *shape, 2, 2)
+    return g_plus, g_minus
 
 
 def commutator_report(dim: int) -> OracleReport:
@@ -164,7 +169,8 @@ def commutator_report(dim: int) -> OracleReport:
         raise ValueError(f"dim must be an integer of at least 4, got {dim!r}")
     report = OracleReport()
     a = ladder_matrix(dim)
-    comm = a @ a.T - a.T @ a
+    number = a.T @ a
+    comm = a @ a.T - number
     report.add("[a,a_dagger] interior", comm[: dim - 1, : dim - 1] - np.eye(dim - 1), 1e-12)
-    report.add("a_dagger a = diag(n)", a.T @ a - np.diag(np.arange(float(dim))), 1e-12)
+    report.add("a_dagger a = diag(n)", number - np.diag(np.arange(float(dim))), 1e-12)
     return report

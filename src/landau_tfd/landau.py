@@ -15,8 +15,6 @@ import math
 import warnings
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import legder, leggauss, legvander
 
 from .complexity import PhysicalParams
 
@@ -119,6 +117,9 @@ def wavefunction(n, ell, rho, phi, params: PhysicalParams):
 @functools.cache
 def _gauss_laguerre(nodes: int) -> tuple:
     """Gauss-Laguerre nodes and weights, built once per node count and read-only."""
+    # imported on first use, like _g17 and fractions: a table process never loads numpy.polynomial
+    from numpy.polynomial.laguerre import laggauss
+
     x, w = laggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -131,6 +132,8 @@ def _radial_rule() -> tuple:
     Built once and read-only.  No node sits at rho = 0, so the operators'
     1/rho is finite on every node.
     """
+    from numpy.polynomial.legendre import legder, leggauss, legvander
+
     x, w = leggauss(_RHO_NODES)
     d = legvander(x, _RHO_NODES - 2) @ legder(np.eye(_RHO_NODES)) @ np.linalg.inv(legvander(x, _RHO_NODES - 1))
     half = _RHO_MAX / 2.0

@@ -41,6 +41,23 @@ def vdot_blocks(t: float, params: PhysicalParams, dim: int) -> tuple:
     return blocks[0], blocks[1]
 
 
+def assert_matches_vdot(ts, betas, params: PhysicalParams, dim: int) -> None:
+    """The oracle on the grid ts x betas agrees with vdot_blocks at every point, to 1e-13 of the block's largest entry."""
+    got = oracle_covariance_1pm(ts, params.with_(beta=betas), dim)
+    for (i, t), (j, b) in itertools.product(enumerate(ts[:, 0]), enumerate(betas)):
+        for g, want in zip(got, vdot_blocks(t, params.with_(beta=b), dim)):
+            assert np.max(np.abs(g[i, j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def traced_peak(call) -> tuple:
+    """call()'s result and the peak of the memory tracemalloc traced during it, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLadderMatrix:
     def test_small_annihilator(self):
         a = ladder_matrix(2)
@@ -175,24 +192,32 @@ class TestCovarianceOracle:
 
     def test_grid_matches_vdot_reference(self):
         p = PhysicalParams(mass=1.3, omega=0.5, beta=1.0)
-        ts, betas = np.linspace(0.0, p.period, 9), np.array([1.0, 2.0, 4.0]) / p.omega
-        got = oracle_covariance_1pm(ts[:, None], p.with_(beta=betas), 60)
-        for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(betas)):
-            for g, want in zip(got, vdot_blocks(t, p.with_(beta=b), 60)):
-                assert np.max(np.abs(g[i, j] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert_matches_vdot(np.linspace(0.0, p.period, 9)[:, None], np.array([1.0, 2.0, 4.0]) / p.omega, p, 60)
+
+    @pytest.mark.parametrize("dim", [24, 128])
+    def test_flat_product_matches_vdot_reference(self, dim):
+        # a (5, 1) x (4,) grid at hbar != 1, beta = inf among the betas; beta*hbar*omega >= 1 keeps dim 24's
+        # norm deficit below the warning's 1e-10
+        p = PhysicalParams(hbar=0.8, mass=0.7, omega=1.3, beta=1.0)
+        bhw = np.array([1.0, 1.7, 5.0, math.inf])
+        assert_matches_vdot(np.linspace(0.1, 1.9 * p.period, 5)[:, None], bhw / (p.hbar * p.omega), p, dim)
 
     def test_grid_holds_no_state_matrices(self):
         # a stack of 27 dense 128 x 128 complex state matrices alone would take 7 MB
         p = params_with(1.0)
         grid = p.with_(beta=np.array([1.0, 2.0, 4.0]) / p.omega)
         ts = np.linspace(0.0, p.period, 9)[:, None]
-        tracemalloc.start()
-        try:
-            oracle_covariance_1pm(ts, grid, 128)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: oracle_covariance_1pm(ts, grid, 128))
         assert peak < 4e6
+
+    def test_point_grid_holds_no_state_matrices(self):
+        # README's (512, 3) grid at dim 128: its amplitudes take 3.1 MB, a 128 x 128 state matrix per point 403 MB
+        p = params_with(1.0)
+        grid = p.with_(beta=np.array([1.0, 2.0, 4.0]) / p.omega)
+        ts = np.linspace(0.0, 2.0 * p.period, 512)[:, None]
+        (g_plus, _), peak = traced_peak(lambda: oracle_covariance_1pm(ts, grid, 128))
+        assert g_plus.shape == (512, 3, 2, 2)
+        assert peak < 12e6
 
     def test_truncation_warning(self):
         with pytest.warns(RuntimeWarning, match="norm deficit"):

@@ -364,9 +364,9 @@ class TestHighAngularMomentum:
 
 
 def test_import_does_not_load_scipy():
-    # what a fresh landau-tfd process imports before its first table: no test-only package, and no
-    # CSV formatter tables until a CSV is written
-    banned = ("scipy", "mpmath", "sympy", "hypothesis", "landau_tfd._g17")
+    # what a fresh landau-tfd process imports before its first table: no test-only package, no CSV
+    # formatter tables until a CSV is written, and no numpy.polynomial until an oracle builds its rule
+    banned = ("scipy", "mpmath", "sympy", "hypothesis", "landau_tfd._g17", "numpy.polynomial")
     code = (
         "import sys, landau_tfd, landau_tfd.cli; "
         f"print(sorted(m for m in sys.modules if any(m == b or m.startswith(b + '.') for b in {banned!r})))"

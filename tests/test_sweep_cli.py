@@ -970,6 +970,15 @@ class TestCli:
         rows = [ln.split(",") for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
         assert [r[3] for r in rows] == ["0"] * 5
 
+    def test_shared_parser_leaks_nothing_between_calls(self, monkeypatch, tmp_path):
+        # main parses every call with one parser per process: one call's appended --beta must not reach the next
+        configs = []
+        monkeypatch.setattr(cli, "run_time_series", lambda config: configs.append(config) or run_time_series(config))
+        argv = ["--mode", "time-series", "--samples", "4", "--out", str(tmp_path / "table.csv")]
+        assert [main([*argv, "--beta", "2"]), main(argv), main([*argv, "--beta", "3"])] == [0, 0, 0]
+        assert [c.betas for c in configs] == [(2.0,), SweepConfig.betas, (3.0,)]
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_defaults_are_the_dataclass_defaults(self, mode):
         config = cli._config_from_args(cli.build_parser().parse_args(["--mode", mode]))
