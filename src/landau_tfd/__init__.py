@@ -34,7 +34,6 @@ from .sweep import (
     SweepConfig,
     SweepRange,
     SweepTable,
-    finite_difference_rate,
     run_beta_sweep,
     run_lloyd,
     run_omega_sweep,

@@ -255,6 +255,24 @@ def _rate(kernel: tuple, t, params: PhysicalParams):
     return np.where(sinh_theta == 0.0, 0.0, rate) + 0.0
 
 
+def _complex_step_rate(t, params: PhysicalParams):
+    """dC/dt as Im C(t + i h) / h with h = 1e-200/omega, a reference for ``complexity_rate``.
+
+    A complex step subtracts nothing, so h can lie far below rounding and
+    needs no tuning (Squire & Trapp, SIAM Rev. 40, 110, 1998).  C goes
+    through ``_uhs`` and ``_norm``, as ``complexity`` does.  This is not
+    ``_kernel``: np.hypot has no complex loop, so r^2 = h^2 + (s cos phase)^2
+    is formed as it stands, and it overflows past r of about 1e154.  verify's
+    grid (omega_ref in [1e-100, 1e100], omega in {0.1, 0.5, 2}, beta hbar
+    omega in {0.5, 2, 8}) keeps r below 5e50.
+    """
+    u, h, s = _uhs(params)
+    phase = 0.5 * (params.omega * t + 1e-200j)
+    x_c, x_s = s * np.cos(phase), s * np.sin(phase)
+    r_c, r_s = np.sqrt(h * h + x_c * x_c), np.sqrt(h * h + x_s * x_s)
+    return params.omega * _norm(u, np.arcsinh(r_c), np.arcsinh(r_s)).imag / 1e-200
+
+
 def high_T_rate_limit(t, params: PhysicalParams):
     """Infinite-temperature limit of the complexity rate; beta in params plays no part.
 
@@ -268,6 +286,17 @@ def high_T_rate_limit(t, params: PhysicalParams):
     y = sinh_u * np.sin(omega * t)
     g = np.hypot(1.0, y)
     return omega * (y / g) * (sinh_u * np.cos(omega * t) / g)
+
+
+def _high_T_complex_step_rate(t, params: PhysicalParams):
+    """d/dt of ln(1 + y^2) / 2, y = sinh u sin(omega t), by the complex step of ``_complex_step_rate``.
+
+    This is the function ``high_T_rate_limit`` differentiates in closed
+    form.  y^2 overflows past |u| of about 355; verify's grid keeps |u|
+    below 233.  t and omega broadcast; beta plays no part.
+    """
+    y = np.sinh(np.log(params.omega_ref) - np.log(params.omega)) * np.sin(params.omega * t + 1e-200j)
+    return params.omega * 0.5 * np.log(1.0 + y * y).imag / 1e-200
 
 
 def oscillation_amplitude(params: PhysicalParams):

@@ -20,6 +20,8 @@ from . import fock
 from . import landau
 from .complexity import (
     PhysicalParams,
+    _complex_step_rate,
+    _high_T_complex_step_rate,
     _kernel,
     _rate,
     _require,
@@ -40,7 +42,6 @@ __all__ = [
     "run_omega_sweep",
     "run_lloyd",
     "run_verify",
-    "finite_difference_rate",
 ]
 
 # rows evaluated and written per pass, so no temporary of a table write holds more
@@ -297,13 +298,6 @@ def run_lloyd(config: SweepConfig) -> SweepTable:
     )
 
 
-def finite_difference_rate(t, params: PhysicalParams):
-    """4th-order central finite difference of the complexity in time, with step 1e-5 periods; t, beta and omega may be arrays."""
-    h = 1e-5 * params.period
-    f = lambda s: complexity(s, params)
-    return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
-
-
 def run_verify(config: SweepConfig) -> fock.OracleReport:
     """Aggregate every closed-form-vs-oracle check into one report.
 
@@ -353,11 +347,18 @@ def run_verify(config: SweepConfig) -> fock.OracleReport:
         closed = np.stack(covariance_g(ts, pb)[:2])
         report.add("covariance oracle vs closed form", (oracle - closed) * scale, 1e-8)
 
-        # analytic rate vs finite differences on a (beta hbar omega, omega, t) grid of 3 x 3 x 6
+        # analytic rates vs their complex steps, relative above 1e-3: the rate on a (beta hbar omega, omega, t) grid
+        # of 3 x 3 x 6, and the time series' beta = 0 column on its omega x t part, as ts does not depend on beta.
+        # Both sides round to a few ulps of the derivative (at most 1.6e-14 apart for omega_ref in [1e-100, 1e100]),
+        # so 1e-12 keeps a fiftyfold margin and still fails a rate off by 1e-10.
         bho, omega = np.array([0.5, 2.0, 8.0])[:, None, None], np.array([0.1, 0.5, 2.0])[:, None]
         pb = p.with_(omega=omega, beta=bho / (p.hbar * omega))
         ts = np.linspace(0.05, 0.95, 6) * pb.period
-        fd = finite_difference_rate(ts, pb)
-        report.add("rate vs finite differences (relative)", (complexity_rate(ts, pb) - fd) / np.maximum(np.abs(fd), 1e-3), 1e-6)
+        for name, rate, step in [
+            ("rate vs complex step (relative)", complexity_rate, _complex_step_rate),
+            ("beta=0 rate vs complex step (relative)", high_T_rate_limit, _high_T_complex_step_rate),
+        ]:
+            ref = step(ts, pb)
+            report.add(name, (rate(ts, pb) - ref) / np.maximum(np.abs(ref), 1e-3), 1e-12)
     report.warnings += dict.fromkeys(str(w.message) for w in caught)
     return report

@@ -19,7 +19,6 @@ from landau_tfd import (
     complexity,
     complexity_rate,
     covariance_g,
-    finite_difference_rate,
     laguerre_norm_integral,
     ladder_action_check,
     lloyd_check,
@@ -32,6 +31,7 @@ from landau_tfd import (
     run_time_series,
     wavefunction_gram,
 )
+from landau_tfd.complexity import _complex_step_rate
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -83,7 +83,7 @@ def test_criterion_04_fock_oracle_equivalence():
     _report(4, "truncated-Fock covariance oracle matches closed form", worst < 1e-8, f"max entry dev {worst:.1e}")
 
 
-def test_criterion_05_rate_vs_finite_differences():
+def test_criterion_05_rate_vs_complex_step():
     worst = 0.0
     count = 0
     for bhw in (0.5, 2.0, 8.0):
@@ -92,11 +92,11 @@ def test_criterion_05_rate_vs_finite_differences():
             for frac in np.linspace(0.03, 0.97, 12):
                 t = frac * p.period
                 analytic = complexity_rate(t, p)
-                fd = finite_difference_rate(t, p)
-                worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-9))
+                ref = _complex_step_rate(t, p)
+                worst = max(worst, abs(analytic - ref) / max(abs(ref), 1e-9))
                 count += 1
-    ok = worst < 1e-6 and count >= 100
-    _report(5, "analytic rate vs 4th-order finite differences", ok, f"{count} points, max rel dev {worst:.1e}")
+    ok = worst < 1e-12 and count >= 100
+    _report(5, "analytic rate vs its complex-step derivative", ok, f"{count} points, max rel dev {worst:.1e}")
 
 
 def test_criterion_06_invariant_suites():

@@ -16,13 +16,13 @@ from landau_tfd import (
     complexity,
     complexity_rate,
     covariance_g,
-    finite_difference_rate,
     high_T_rate_limit,
     internal_energy,
     lloyd_check,
     oscillation_amplitude,
     relative_spectrum,
 )
+from landau_tfd.complexity import _complex_step_rate
 
 BHW2LN2 = 2.0 * math.log(2.0)
 
@@ -224,15 +224,14 @@ class TestRate:
         assert complexity_rate(0.0, p) == pytest.approx(0.0, abs=1e-14)
         assert complexity_rate(math.pi / (2.0 * p.omega), p) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_finite_differences(self):
+    def test_matches_complex_step(self):
+        # the grid includes t = T/2, where both rates are rounding noise below 1e-16
         for bhw in (0.5, 2.0, 8.0):
             for omega in (0.1, 0.5, 2.0):
                 p = params_with(bhw, omega=omega)
                 for frac in np.linspace(0.05, 0.95, 7):
                     t = frac * p.period
-                    analytic = complexity_rate(t, p)
-                    fd = finite_difference_rate(t, p)
-                    assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-11)
+                    assert complexity_rate(t, p) == pytest.approx(_complex_step_rate(t, p), rel=1e-12, abs=1e-15)
 
     def test_high_temperature_limit(self):
         # convergence in beta*hbar*omega is only logarithmic, so check the

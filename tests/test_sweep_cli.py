@@ -40,6 +40,7 @@ from landau_tfd import (
     run_verify,
 )
 from landau_tfd import _g17, cli, landau, sweep
+from landau_tfd.complexity import _complex_step_rate, _high_T_complex_step_rate
 from landau_tfd.fock import tfd_a_sector_state
 from landau_tfd.cli import main
 from landau_tfd.sweep import _CHUNK, MODES, SweepTable
@@ -815,22 +816,33 @@ class TestVerify:
         assert main(["--mode", "verify"]) == 0
         assert json.loads(capsys.readouterr().out)["warnings"] == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: at an extreme omega/omega_ref, C is large and the finite difference's rounding, "
-        "about eps*C/h, exceeds the rate check's 1e-6 tolerance",
-    )
-    @pytest.mark.parametrize("omega_ref", ["1e-40", "1e40"])
+    @pytest.mark.parametrize("omega_ref", ["1e-100", "1e-40", "1e40", "1e100"])
     def test_passes_at_extreme_frequency_ratio(self, omega_ref, capsys):
+        # C grows with |ln(omega_ref/omega)|, to 330 here; the complex step's error does not grow with it
+        assert main(["--mode", "verify", "--omega-ref", omega_ref]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["rate vs complex step (relative)"]["max_deviation"] <= 1e-13
+
+    @pytest.mark.parametrize("omega_ref", ["0.1", "0.5", "2"])
+    def test_passes_where_omega_equals_omega_ref(self, omega_ref, capsys):
+        # one omega of the rate checks' grid equals omega_ref, so u = 0 there: both rates and both complex steps are
+        # exactly 0, and the checks' floor of 1e-3 on the reference makes the relative deviation 0, not 0/0 = NaN
+        p = PhysicalParams(omega=float(omega_ref), omega_ref=float(omega_ref))
+        ts = np.linspace(0.05, 0.95, 6) * p.period
+        for rate in (complexity_rate, _complex_step_rate, high_T_rate_limit, _high_T_complex_step_rate):
+            assert np.all(rate(ts, p) == 0.0)
         assert main(["--mode", "verify", "--omega-ref", omega_ref]) == 0
 
     def test_truncation_warnings_reach_the_report(self, capsys):
         assert main(["--mode", "verify", "--fock-dim", "8"]) == 2
         captured = capsys.readouterr()
-        found = json.loads(captured.out)["warnings"]
+        doc = json.loads(captured.out)
+        found = doc["warnings"]
         assert any("truncation norm deficit" in w for w in found)
         assert len(found) == len(set(found))
         assert captured.err == ""
+        # a check that cannot survive a small truncation fails here, as in CI
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["covariance oracle vs closed form"]
 
 
 class TestEvaluatedOnce:

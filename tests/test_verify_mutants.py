@@ -21,7 +21,8 @@ from landau_tfd.sweep import SweepConfig, run_verify
 complexity = importlib.import_module("landau_tfd.complexity")
 
 INTERIOR, NUMBER = "[a,a_dagger] interior", "a_dagger a = diag(n)"
-COVARIANCE, RATE = "covariance oracle vs closed form", "rate vs finite differences (relative)"
+COVARIANCE = "covariance oracle vs closed form"
+RATE, BETA0_RATE = "rate vs complex step (relative)", "beta=0 rate vs complex step (relative)"
 LAGUERRE, GRAM, LADDER = "laguerre orthogonality", "wavefunction orthonormality", "ladder-operator coefficients"
 
 
@@ -76,6 +77,9 @@ ROWS = [
         id="covariance-nan",
     ),
     pytest.param(wrap(complexity, "_rate", lambda r, kernel, t, p: r * (1 + 1e-5)), [RATE], id="rate-scaled"),
+    pytest.param(wrap(complexity, "_rate", lambda r, kernel, t, p: r * (1 + 1e-10)), [RATE], id="rate-scaled-1e-10"),
+    # the time series' beta = 0 column and its check both take high_T_rate_limit from sweep
+    pytest.param(wrap(sweep, "high_T_rate_limit", lambda r, t, p: r * (1 + 1e-10)), [BETA0_RATE], id="high-T-rate-scaled"),
     pytest.param(
         wrap(landau, "_gauss_laguerre", lambda xw, nodes: (xw[0], xw[1] * (1 + 1e-9))),
         [LAGUERRE],
